@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use ule_core::broadcast::flood_broadcast;
-use ule_graph::{analysis, clique_cycle::CliqueCycle, dumbbell, gen};
+use ule_graph::{analysis, clique_cycle::CliqueCycle, dumbbell, gen, gen::Family};
 use ule_sim::SimConfig;
 
 fn substrate_benches(c: &mut Criterion) {
@@ -33,9 +33,28 @@ fn substrate_benches(c: &mut Criterion) {
     group.bench_function("bfs-500", |b| {
         b.iter(|| black_box(analysis::bfs_distances(&g, 0)));
     });
-    group.bench_function("diameter-exact-500", |b| {
-        b.iter(|| black_box(analysis::diameter_exact(&g)));
-    });
+    group.finish();
+
+    // `diameter_exact` computes once per graph and then answers from its
+    // memo. A clone of a graph that never computed it starts empty, so
+    // timing it on a fresh clone times the computation; the all-pairs
+    // reference gets the same clone. The four graphs are those of a
+    // Table 1 workload at n = 512.
+    let mut group = c.benchmark_group("graph/diameter");
+    for family in [
+        Family::Cycle,
+        Family::Torus,
+        Family::SparseRandom,
+        Family::DenseRandom,
+    ] {
+        let g = gen::workload_graph(1, family, 512).unwrap();
+        group.bench_with_input(BenchmarkId::new("exact", family.name()), &g, |b, g| {
+            b.iter(|| black_box(analysis::diameter_exact(&g.clone())));
+        });
+        group.bench_with_input(BenchmarkId::new("all-pairs", family.name()), &g, |b, g| {
+            b.iter(|| black_box(analysis::diameter_all_pairs(&g.clone())));
+        });
+    }
     group.finish();
 
     // Engine throughput: a full flood on graphs of growing size measures

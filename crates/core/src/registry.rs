@@ -256,6 +256,11 @@ impl Algorithm {
     /// exact diameter when needed, sampled identifiers when needed
     /// (sequential for [`Algorithm::DfsAgent`], whose running time is
     /// exponential in the smallest identifier), and a permissive round cap.
+    ///
+    /// The diameter comes from [`analysis::diameter_exact`], which
+    /// computes it once per graph and memoizes it there: every further
+    /// call on the same graph — other algorithms, other seeds, other
+    /// threads — reads the stored value.
     pub fn config_for(self, graph: &Graph, seed: u64) -> SimConfig {
         let d = self.spec().needs_diameter.then(|| {
             analysis::diameter_exact(graph)

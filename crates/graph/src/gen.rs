@@ -426,7 +426,13 @@ impl Family {
                 let n = if n % 2 == 1 { n + 1 } else { n };
                 random_regular(n, 4, rng)
             }
-            Family::Lollipop => lollipop((n / 2).max(2), n - (n / 2).max(2)),
+            Family::Lollipop => {
+                let clique = (n / 2).max(2);
+                let tail = n.checked_sub(clique).ok_or_else(|| {
+                    GraphError::InvalidParameters(format!("lollipop needs n >= 2, got {n}"))
+                })?;
+                lollipop(clique, tail)
+            }
             Family::CompleteBinaryTree => complete_binary_tree(n),
         }
     }
@@ -642,6 +648,21 @@ mod tests {
             assert!(g.is_connected(), "{fam} not connected");
             assert!(g.len() >= 9, "{fam} too small: {}", g.len());
         }
+    }
+
+    #[test]
+    fn tiny_sizes_error_instead_of_panicking() {
+        // Every family either builds or reports an error at n <= 2; the
+        // lollipop used to underflow its tail length at n < 2.
+        for n in 0..3 {
+            for fam in Family::ALL {
+                if let Ok(g) = workload_graph(5, fam, n) {
+                    assert!(g.is_connected(), "{fam} at n = {n}");
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(Family::Lollipop.build(1, &mut rng).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a node, `0..n`. Distinct from the *identifier* a node carries
 /// during an execution (see [`crate::ids::IdAssignment`]): node indices are
@@ -80,7 +81,7 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.endpoint(u, q), (0, 0));
 /// # Ok::<(), ule_graph::GraphError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Graph {
     /// CSR offsets, `offsets.len() == n + 1`.
     offsets: Vec<usize>,
@@ -91,7 +92,24 @@ pub struct Graph {
     rev_ports: Vec<Port>,
     /// Canonical edge list, `u < v`, sorted lexicographically.
     edges: Vec<(NodeId, NodeId)>,
+    /// Exact diameter, filled by the first
+    /// [`crate::analysis::diameter_exact`] call. Not part of the graph's
+    /// identity: equality ignores it, and a clone carries whatever the
+    /// original had computed (port shuffles keep the topology, hence the
+    /// diameter).
+    diameter: OnceLock<Option<u32>>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.offsets == other.offsets
+            && self.neighbors == other.neighbors
+            && self.rev_ports == other.rev_ports
+            && self.edges == other.edges
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph on `n` nodes from an undirected edge list.
@@ -148,6 +166,7 @@ impl Graph {
             neighbors,
             rev_ports: Vec::new(),
             edges: canonical,
+            diameter: OnceLock::new(),
         };
         g.rebuild_rev_ports();
         Ok(g)
@@ -204,6 +223,7 @@ impl Graph {
             neighbors,
             rev_ports: Vec::new(),
             edges,
+            diameter: OnceLock::new(),
         };
         g.rebuild_rev_ports();
         Ok(g)
@@ -228,6 +248,11 @@ impl Graph {
             return Err(GraphError::Disconnected);
         }
         Ok(g)
+    }
+
+    /// The diameter memo behind [`crate::analysis::diameter_exact`].
+    pub(crate) fn diameter_memo(&self) -> &OnceLock<Option<u32>> {
+        &self.diameter
     }
 
     fn rebuild_rev_ports(&mut self) {
@@ -416,7 +441,7 @@ impl Graph {
     ///
     /// The paper's lower bounds quantify over all port mappings
     /// (Fact 3.3(a) counts them); sweeping seeds through this method samples
-    /// that space.
+    /// that space. A diameter already computed on `self` carries over.
     pub fn shuffle_ports<R: rand::Rng>(&self, rng: &mut R) -> Graph {
         use rand::seq::SliceRandom;
         let mut out = self.clone();
@@ -564,6 +589,44 @@ mod tests {
                 assert_eq!(h.endpoint(u, q), (v, p));
             }
         }
+    }
+
+    #[test]
+    fn equality_ignores_the_diameter_memo() {
+        use crate::analysis::diameter_exact;
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let fresh = g.clone();
+        assert!(g.diameter_memo().get().is_none());
+        assert_eq!(g, g.clone());
+        assert_eq!(diameter_exact(&g), Some(4));
+        // One side computed, the other not, in both orders.
+        assert_eq!(g, fresh);
+        assert_eq!(fresh, g);
+        // A clone made after the computation carries it.
+        let carried = g.clone();
+        assert_eq!(carried.diameter_memo().get(), Some(&Some(4)));
+        assert_eq!(g, carried);
+        assert_eq!(diameter_exact(&fresh), Some(4));
+        assert_eq!(g, fresh);
+    }
+
+    #[test]
+    fn shuffle_ports_keeps_the_diameter_and_rebuilds_drop_it() {
+        use crate::analysis::{diameter_all_pairs, diameter_exact};
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]).unwrap();
+        let before = g.shuffle_ports(&mut StdRng::seed_from_u64(1));
+        assert!(before.diameter_memo().get().is_none());
+        assert_eq!(diameter_exact(&g), Some(3));
+        let h = g.shuffle_ports(&mut StdRng::seed_from_u64(2));
+        assert_eq!(h.diameter_memo().get(), Some(&Some(3)));
+        assert_eq!(diameter_all_pairs(&h), Some(3));
+        // Topology-changing constructions start with an empty memo.
+        let path = g.remove_edge(5, 0).unwrap();
+        assert!(path.diameter_memo().get().is_none());
+        assert_eq!(diameter_exact(&path), Some(5));
+        let union = g.disjoint_union(&g);
+        assert!(union.diameter_memo().get().is_none());
+        assert_eq!(diameter_exact(&union), None);
     }
 
     #[test]

@@ -288,7 +288,7 @@ where
             _ => None,
         };
         if let Some(w) = wake {
-            if let Some(c) = ledger.crash_round[v] {
+            if let Some(c) = ledger.crash_round.get(v) {
                 if c <= w {
                     ledger.crash_horizon = ledger.crash_horizon.max(c);
                     continue;
@@ -482,7 +482,7 @@ where
                     // owner's crash outlives is never armed (the async
                     // runtime makes the same arm-time decision, so the
                     // reported crash horizons agree across runtimes).
-                    match ledger.crash_round[v] {
+                    match ledger.crash_round.get(v) {
                         Some(c) if c <= w => {
                             ledger.crash_horizon = ledger.crash_horizon.max(c);
                             store.wake[v] = NO_WAKE;
@@ -528,7 +528,7 @@ where
                 // the previously armed round (if any) stays in the heap.
                 // Crash-filtered eagerly, as at setup.
                 if let Some(w) = effects.rearmed {
-                    match ledger.crash_round[v] {
+                    match ledger.crash_round.get(v) {
                         Some(c) if c <= w => {
                             ledger.crash_horizon = ledger.crash_horizon.max(c);
                             view.wake[v] = NO_WAKE;

@@ -830,6 +830,32 @@ pub(crate) fn validate_wakeup(config: &SimConfig, n: usize) {
     }
 }
 
+/// Each node's fail-stop round, asked of the schedule once per node (in
+/// ascending order) at run setup. The column is stored only when some
+/// node has a crash round: under the crash-free adversaries (lockstep,
+/// bounded delay, link failure) it costs nothing, where a per-node
+/// `Option<u64>` would cost 16 B a node.
+#[derive(Debug, Default)]
+pub(crate) struct CrashRounds(Option<Vec<Option<u64>>>);
+
+impl CrashRounds {
+    pub(crate) fn new(schedule: &mut dyn Schedule, n: usize) -> CrashRounds {
+        let mut rounds: Option<Vec<Option<u64>>> = None;
+        for v in 0..n {
+            if let Some(c) = schedule.crash_round(v) {
+                rounds.get_or_insert_with(|| vec![None; n])[v] = Some(c);
+            }
+        }
+        CrashRounds(rounds)
+    }
+
+    /// The round at whose start `v` fail-stops, if it ever does.
+    #[inline]
+    pub(crate) fn get(&self, v: NodeId) -> Option<u64> {
+        self.0.as_ref().and_then(|rounds| rounds[v])
+    }
+}
+
 /// All global per-message accounting of a run, plus the adversary that
 /// decides each message's fate. Every send — whether stepped inline or in
 /// a shard — funnels through [`Ledger::record`] on the sequential control
@@ -883,7 +909,7 @@ pub(crate) struct Ledger<M> {
     pub(crate) synchronous: bool,
     pub(crate) schedule: Box<dyn Schedule>,
     /// Precomputed fail-stop round per node (queried once at run setup).
-    pub(crate) crash_round: Vec<Option<u64>>,
+    pub(crate) crash_round: CrashRounds,
     /// Latest crash round whose *effect* the run observed (a suppressed
     /// wakeup or a dropped delivery); extends the horizon that decides
     /// which crashes are reported as fired.
@@ -907,7 +933,7 @@ impl<M: Message> Ledger<M> {
             "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
         );
         let mut schedule: Box<dyn Schedule> = config.adversary.build(config.seed, topo);
-        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
+        let crash_round = CrashRounds::new(&mut *schedule, n);
 
         let watch: Vec<(NodeId, NodeId)> = config
             .watch_edges
@@ -1015,7 +1041,7 @@ impl<M: Message> Ledger<M> {
                 at > round,
                 "Schedule bug: message sent in round {round} scheduled for delivery at round {at}"
             );
-            if let Some(c) = self.crash_round[s.dest] {
+            if let Some(c) = self.crash_round.get(s.dest) {
                 if c <= at {
                     // Dead on arrival: the destination fail-stops at or
                     // before the delivery round.
@@ -1073,7 +1099,7 @@ impl<M: Message> Ledger<M> {
         let n = statuses.len();
         let end = end_round.max(self.crash_horizon);
         let crashed: Vec<NodeId> = (0..n)
-            .filter(|&v| self.crash_round[v].is_some_and(|c| c <= end))
+            .filter(|&v| self.crash_round.get(v).is_some_and(|c| c <= end))
             .collect();
         if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
             termination = Termination::AllCrashed;
@@ -1104,5 +1130,23 @@ impl<M: Message> Ledger<M> {
             messages_dropped: self.messages_dropped,
             late_deliveries: self.late,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{BoundedDelay, CrashStop, Lockstep};
+
+    #[test]
+    fn crash_column_is_stored_only_when_a_node_can_crash() {
+        let none = CrashRounds::new(&mut Lockstep, 6);
+        assert!(none.0.is_none());
+        assert_eq!(none.get(5), None);
+        let delayed = CrashRounds::new(&mut BoundedDelay::new(1, 3), 6);
+        assert!(delayed.0.is_none());
+        let some = CrashRounds::new(&mut CrashStop::new(6, &[(4, 2), (1, 7), (4, 1)]), 6);
+        let rounds: Vec<Option<u64>> = (0..6).map(|v| some.get(v)).collect();
+        assert_eq!(rounds, [None, Some(7), None, None, Some(1), None]);
     }
 }

@@ -70,8 +70,8 @@ use crate::adversary::{Adversary, Fate, Schedule, SendView};
 use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    ids_slice, init_store, step_node, validate_wakeup, RunCtx, RunOutcome, SendSink, StagedSend,
-    StepScratch, StoreSliceMut, Termination, WatchHit, NO_WAKE,
+    ids_slice, init_store, step_node, validate_wakeup, CrashRounds, RunCtx, RunOutcome, SendSink,
+    StagedSend, StepScratch, StoreSliceMut, Termination, WatchHit, NO_WAKE,
 };
 use crate::protocol::{NodeSetup, Protocol, Status};
 use crate::transport::{Frame, LinkGate, LinkSeq};
@@ -196,7 +196,15 @@ impl AsyncRuntime {
         store.densify_rngs(config.seed);
         if n == 0 {
             return AsyncRun {
-                outcome: assemble(Vec::new(), &store.statuses, Termination::Quiescent, 0, &[], 0).0,
+                outcome: assemble(
+                    Vec::new(),
+                    &store.statuses,
+                    Termination::Quiescent,
+                    0,
+                    &CrashRounds::default(),
+                    0,
+                )
+                .0,
                 trace: DeliveryTrace::default(),
             };
         }
@@ -205,7 +213,7 @@ impl AsyncRuntime {
         // reference; `wake_round`/`crash_round` are consulted here only.
         let mut schedule = config.adversary.build(config.seed, graph);
         let synchronous = config.adversary == Adversary::Lockstep;
-        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
+        let crash_round = CrashRounds::new(&mut *schedule, n);
         // Arm the spontaneous wakeups: the engine's stacked rule (wakeup
         // discipline AND adversary must wake — later round wins), with
         // crashes resolved eagerly at arm time exactly as the engine does.
@@ -217,14 +225,14 @@ impl AsyncRuntime {
                 _ => None,
             };
             if let Some(w) = wake {
-                match crash_round[v] {
+                match crash_round.get(v) {
                     Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
                     _ => store.wake[v] = w,
                 }
             }
         }
         let schedule: &dyn Schedule = &*schedule;
-        let crash_round = &crash_round[..];
+        let crash_round = &crash_round;
         let rc = RunCtx {
             topo: graph,
             ids: ids_slice(config, n),
@@ -360,7 +368,7 @@ fn reconstruct_watch_hits<T: Topology>(
     events: &[TraceEvent],
     synchronous: bool,
     schedule: &dyn Schedule,
-    crash_round: &[Option<u64>],
+    crash_round: &CrashRounds,
 ) -> Vec<Option<WatchHit>> {
     // Directed-edge index -> (src, dest), and normalized undirected edge
     // -> positions in `config.watch_edges` (duplicates all resolve).
@@ -396,7 +404,7 @@ fn reconstruct_watch_hits<T: Topology>(
                 match schedule.message_fate(&view) {
                     Fate::Dropped => false,
                     Fate::Deliver { round: at } => {
-                        !crash_round[dest].is_some_and(|c| c <= at)
+                        !crash_round.get(dest).is_some_and(|c| c <= at)
                     }
                 }
             };
@@ -448,7 +456,7 @@ where
     store.densify_rngs(config.seed);
     let mut schedule = config.adversary.build(config.seed, graph);
     let synchronous = config.adversary == Adversary::Lockstep;
-    let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
+    let crash_round = CrashRounds::new(&mut *schedule, n);
     let mut setup_horizon = 0u64;
     let mut wakeup_schedule = config.wakeup.as_schedule();
     for v in 0..n {
@@ -457,7 +465,7 @@ where
             _ => None,
         };
         if let Some(w) = wake {
-            match crash_round[v] {
+            match crash_round.get(v) {
                 Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
                 _ => store.wake[v] = w,
             }
@@ -547,7 +555,7 @@ where
                 "replay divergence: node {v} at round {e} emits different frames"
             );
             if let Some(w) = effects.rearmed {
-                if let Some(c) = crash_round[v] {
+                if let Some(c) = crash_round.get(v) {
                     if c <= w {
                         view.wake[v] = NO_WAKE;
                         stats.crash_horizon = stats.crash_horizon.max(c);
@@ -816,7 +824,7 @@ struct ChannelSink<'a, M> {
     /// Fast path: under [`Adversary::Lockstep`] no fate is queried.
     synchronous: bool,
     schedule: &'a dyn Schedule,
-    crash_round: &'a [Option<u64>],
+    crash_round: &'a CrashRounds,
     rt: &'a mut [NodeRt<M>],
     stats: &'a mut WorkerStats,
     senders: &'a [Sender<Packet<M>>],
@@ -885,7 +893,7 @@ impl<M> SendSink<M> for ChannelSink<'_, M> {
         };
         // Sender-side crash check: a message into a node at or past its
         // crash round is dead on arrival — same rule as the ledger.
-        if let Some(c) = self.crash_round[send.dest] {
+        if let Some(c) = self.crash_round.get(send.dest) {
             if c <= deliver_at {
                 let seq = st.link_seq[send.didx].stamp(Vec::new()).seq;
                 debug_assert_eq!(seq, edge_seq);
@@ -956,7 +964,7 @@ struct Worker<'env, T: Topology, P: Protocol> {
     synchronous: bool,
     rc: RunCtx<'env, T>,
     schedule: &'env dyn Schedule,
-    crash_round: &'env [Option<u64>],
+    crash_round: &'env CrashRounds,
     store: StoreSliceMut<'env, P>,
     rt: Vec<NodeRt<P::Msg>>,
     /// Ever-activated flags for the owned range (indexed by `v - lo`).
@@ -1047,7 +1055,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     fn execute(&mut self, i: usize, e: u64) {
         let v = self.lo + i;
         debug_assert!(
-            self.crash_round[v].is_none_or(|c| e < c),
+            !self.crash_round.get(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
         let mut due = self.rt[i].pending.take_at(e);
@@ -1099,7 +1107,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         // A re-armed timer at or past the node's crash round is resolved
         // eagerly, exactly as the engine's merge does.
         if let Some(w) = effects.rearmed {
-            if let Some(c) = self.crash_round[v] {
+            if let Some(c) = self.crash_round.get(v) {
                 if c <= w {
                     self.store.wake[i] = NO_WAKE;
                     self.stats.crash_horizon = self.stats.crash_horizon.max(c);
@@ -1228,7 +1236,7 @@ fn assemble(
     statuses: &[Status],
     termination: Termination,
     end_round: u64,
-    crash_round: &[Option<u64>],
+    crash_round: &CrashRounds,
     setup_horizon: u64,
 ) -> (RunOutcome, Vec<TraceEvent>) {
     let dcount = stats.first().map_or(0, |s| s.first_directed_use.len());
@@ -1289,10 +1297,10 @@ fn assemble(
     // run observed — including crashes only witnessed through suppressed
     // wakeups or dead-on-arrival sends — is reported as crashed.
     let end = end_round.max(crash_horizon);
-    let crashed: Vec<NodeId> = (0..crash_round.len())
-        .filter(|&v| crash_round[v].is_some_and(|c| c <= end))
+    let n = statuses.len();
+    let crashed: Vec<NodeId> = (0..n)
+        .filter(|&v| crash_round.get(v).is_some_and(|c| c <= end))
         .collect();
-    let n = crash_round.len();
     let termination = if termination == Termination::Quiescent && n > 0 && crashed.len() == n {
         Termination::AllCrashed
     } else {

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use ule_core::Algorithm;
 use ule_graph::clique_cycle::CliqueCycle;
-use ule_graph::dumbbell::{clique_path_base, BridgeOrientation, Dumbbell};
+use ule_graph::dumbbell::{clique_path_base, clique_path_dumbbell, BridgeOrientation, Dumbbell};
+use ule_graph::gen::Family;
 use ule_graph::{analysis, gen, Graph};
 use ule_sim::{Knowledge, SimConfig};
 
@@ -103,6 +104,50 @@ proptest! {
             prop_assert!(d.graph.has_edge(a, b));
             prop_assert_ne!(d.side(a), d.side(b));
         }
+    }
+
+    #[test]
+    fn bounded_diameter_equals_all_pairs(
+        n in 1usize..160,
+        seed in 0u64..1000,
+        m_extra in 0usize..40,
+        edges in (0usize..50, 0usize..50),
+        d in 3usize..20,
+    ) {
+        // Every materialized family at a random size.
+        let mut graphs: Vec<(String, Graph)> = Family::ALL
+            .iter()
+            .filter_map(|&f| gen::workload_graph(seed, f, n).ok().map(|g| (f.name().to_string(), g)))
+            .collect();
+        // The Theorem 3.1 dumbbell, the Figure 1 clique-cycle, and a
+        // random connected graph.
+        let k = 6 + n % 14;
+        let dumbbell = clique_path_dumbbell(k, (k + m_extra).min(k * (k - 1) / 2), edges.0, edges.1);
+        if let Ok(db) = dumbbell {
+            graphs.push(("dumbbell".into(), db.graph));
+        }
+        if let Ok(cc) = CliqueCycle::build(n.max(d + 1), d) {
+            graphs.push(("clique-cycle".into(), cc.graph));
+        }
+        if n >= 2 {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = (n - 1 + m_extra).min(n * (n - 1) / 2);
+            graphs.push(("random".into(), gen::random_connected(n, m, &mut rng).unwrap()));
+        }
+        for (name, g) in &graphs {
+            let want = analysis::diameter_all_pairs(g);
+            prop_assert!(want.is_some(), "{} is connected", name);
+            prop_assert_eq!(analysis::diameter_exact(g), want, "{} on {} nodes", name, g.len());
+            prop_assert_eq!(analysis::diameter_exact(g), want, "{} memo", name);
+            // A disjoint union is disconnected: no diameter, either way.
+            let u = g.disjoint_union(g);
+            prop_assert_eq!(analysis::diameter_all_pairs(&u), None);
+            prop_assert_eq!(analysis::diameter_exact(&u), None);
+        }
+        let single = Graph::from_edges(1, &[]).unwrap();
+        prop_assert_eq!(analysis::diameter_exact(&single), Some(0));
+        prop_assert_eq!(analysis::diameter_all_pairs(&single), Some(0));
     }
 
     #[test]
@@ -516,11 +561,23 @@ proptest! {
             prop_assert_eq!(topo.has_edge(u, v), g.has_edge(u, v), "has_edge({}, {}) on {}", u, v, fam);
         }
 
-        // The closed-form diameter matches all-pairs BFS (kept to small n:
-        // diameter_exact is O(n·m)).
+        // The closed-form diameter matches BFS (kept to small n: on
+        // vertex-transitive families diameter_exact needs n passes).
         if g.len() <= 128 {
             let exact = analysis::diameter_exact(&g).map(|d| d as usize);
             prop_assert_eq!(topo.diameter_hint(), exact, "diameter of {}", fam);
         }
     }
+}
+
+/// Concurrent first calls on one graph, from the harness's trial threads,
+/// compute the memoized diameter once and all see that value.
+#[test]
+fn concurrent_first_diameter_calls_agree() {
+    let g = gen::workload_graph(3, Family::SparseRandom, 600).unwrap();
+    let want = analysis::diameter_all_pairs(&g);
+    assert!(want.is_some());
+    let got = ule_sim::harness::parallel_trials(16, |_| analysis::diameter_exact(&g));
+    assert!(got.iter().all(|&d| d == want), "{got:?} vs {want:?}");
+    assert_eq!(analysis::diameter_exact(&g), want);
 }
