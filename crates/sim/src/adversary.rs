@@ -16,8 +16,8 @@
 //! function of the run seed and the decision's coordinates. Message fates
 //! in particular are a pure function of `(run_seed, directed edge,
 //! per-edge send index)` — **never** of global merge order — so any
-//! runtime that tracks per-edge send counters (the engine's `Ledger`, the
-//! async runtime's per-edge `LinkSeq` stampers) reproduces the exact same
+//! runtime that tracks per-edge send counters (the engine's tally, each
+//! async worker's tally of its own sends) reproduces the exact same
 //! decisions locally, with no sequential bottleneck. A run's
 //! [`crate::RunOutcome`] therefore stays byte-for-byte identical at any
 //! [`crate::Parallelism`] setting *and* across runtimes. Randomized

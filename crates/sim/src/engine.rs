@@ -98,12 +98,11 @@
 //! Rounds whose active set is too small to amortize thread coordination
 //! are stepped inline on the main thread (same code as `Off`).
 
-use crate::adversary::Schedule;
 use crate::config::SimConfig;
 pub(crate) use crate::exec::splitmix64;
 use crate::exec::{
-    ids_slice, init_store, step_node, validate_wakeup, InboxArena, Ledger, LedgerSink, RngCol,
-    RunCtx, ShardOut, StepScratch, StoreSliceMut, NO_WAKE,
+    init_store, step_node, validate_wakeup, Bitmap, InboxArena, Ledger, LedgerSink, RngCol, RunCtx,
+    ShardOut, StepScratch, StoreSliceMut,
 };
 #[allow(unused_imports)] // re-exported for in-crate users of the old paths
 pub use crate::exec::{node_rng_seed, RunOutcome, Termination, WatchHit};
@@ -112,32 +111,6 @@ use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use ule_graph::{NodeId, Port, Topology};
-
-/// One bit per node: has this node ever been activated? Replaces the
-/// byte-per-node `started` column (a `Vec<bool>`), and — because within a
-/// round every active node steps exactly once — can be updated *after*
-/// the stepping loop, which is what lets shard threads share it immutably.
-struct Bitmap {
-    words: Vec<u64>,
-}
-
-impl Bitmap {
-    fn new(n: usize) -> Self {
-        Bitmap {
-            words: vec![0u64; n.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-}
 
 /// Steps the active nodes of one shard for one round.
 ///
@@ -170,7 +143,7 @@ fn step_shard<T: Topology, P: Protocol>(
             v,
             &mut store,
             v - base,
-            !started.get(v),
+            !started.contains(v),
             inbox_buf,
             scratch,
             &mut out.sends,
@@ -217,12 +190,7 @@ where
     let min_shard_nodes = config.parallelism.min_shard_nodes();
 
     let mut store = init_store(topo, config, factory);
-    let rc = RunCtx {
-        topo,
-        ids: ids_slice(config, n),
-        knowledge: config.knowledge,
-        seed: config.seed,
-    };
+    let rc = RunCtx::new(topo, config);
 
     // Pending wakeups, min-first. Entries are lazily invalidated: an entry
     // `(w, v)` is genuine iff `store.wake[v] == w` when popped (a node
@@ -231,20 +199,10 @@ where
 
     // Legacy wakeup validation: the panic messages are part of the API.
     validate_wakeup(config, n);
-    // The run's execution model: the wakeup discipline stacked with the
-    // configured adversary (see `crate::adversary`). Every wakeup,
-    // liveness, and message-fate decision flows through these schedules,
-    // and only ever from this sequential control thread. The stack is
-    // hand-inlined rather than routed through `adversary::Compose`
-    // because the wakeup half only ever constrains `wake_round` — its
-    // fate and crash methods are the lockstep defaults — so the hot
-    // per-message path consults the adversary alone, with identical
-    // semantics (pinned by `tests/properties.rs`).
-    let mut wakeup_schedule = config.wakeup.as_schedule();
-
+    // Every wakeup, liveness, and message-fate decision flows through the
+    // ledger's `Fates`, and only ever from this sequential control thread.
     let mut ledger: Ledger<P::Msg> = Ledger::new(topo, config);
 
-    let mut last_status_change: Option<u64> = None;
     let mut round_totals: Vec<(u64, u64)> = Vec::new();
 
     let mut scratch: StepScratch<P::Msg> = StepScratch::default();
@@ -260,7 +218,7 @@ where
     // bitmap guarding it; due deliveries and wakeups join at the top of
     // the loop.
     let mut active: Vec<NodeId> = Vec::new();
-    let mut in_active: Vec<bool> = vec![false; n];
+    let mut in_active = Bitmap::new(n);
     // The shared two-round delivery arena and the ever-started bitmap.
     // `prepared` is the round whose calendar bucket was pre-drained into
     // the arena's *next* side (`u64::MAX` = none): it is set just before
@@ -278,36 +236,18 @@ where
     // and the round-0 execution clears the `wake = 0` markers before any
     // heap lookup could expect entries for them. A node that crashes at or
     // before its wakeup round never participates at all.
-    #[allow(clippy::needless_range_loop)] // v is a node id indexing parallel columns
-    for v in 0..n {
-        // The Compose rule for wakeups, inlined over the two-schedule
-        // stack: a node wakes spontaneously only if both halves allow it,
-        // at the latest round either demands.
-        let wake = match (wakeup_schedule.wake_round(v), ledger.schedule.wake_round(v)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if let Some(w) = wake {
-            if let Some(c) = ledger.crash_round.get(v) {
-                if c <= w {
-                    ledger.crash_horizon = ledger.crash_horizon.max(c);
-                    continue;
-                }
-            }
-            store.wake[v] = w;
+    ledger
+        .fates
+        .arm_wakeups(config, &mut ledger.tally, &mut store.wake, |v, w| {
             if w == 0 {
-                if !in_active[v] {
-                    in_active[v] = true;
-                    active.push(v);
-                }
+                in_active.insert(v);
+                active.push(v);
             } else {
                 wake_heap.push(Reverse((w, v)));
             }
-        }
-    }
+        });
 
     let mut round: u64 = 0;
-    let mut rounds_used: u64 = 0;
     let termination;
 
     'rounds: loop {
@@ -342,24 +282,21 @@ where
         prepared = u64::MAX;
         arena.rotate();
         for &d in arena.recipients() {
-            let d = d as usize;
-            if !in_active[d] {
-                in_active[d] = true;
-                active.push(d);
+            if in_active.insert(d as usize) {
+                active.push(d as usize);
             }
         }
 
         // Admit every wakeup due this round; drop superseded entries.
         // Crashed owners need no check here: wakeups are crash-filtered
-        // *at arm time* (setup and the two rearm sites below), so every
-        // genuine heap entry outlives its owner's crash round.
+        // *at arm time* (`Fates::arm`), so every genuine heap entry
+        // outlives its owner's crash round.
         while let Some(&Reverse((w, v))) = wake_heap.peek() {
             if w > round {
                 break;
             }
             wake_heap.pop();
-            if store.wake[v] == w && !in_active[v] {
-                in_active[v] = true;
+            if store.wake[v] == w && in_active.insert(v) {
                 active.push(v);
             }
         }
@@ -398,7 +335,6 @@ where
         // Ascending node order keeps execution byte-for-byte identical to
         // the historical full scan; the set is small, so the sort is cheap.
         active.sort_unstable();
-        rounds_used = round + 1;
 
         // Shard the round when the active set is large enough to amortize
         // per-round thread coordination (the policy lives on
@@ -455,7 +391,15 @@ where
                     base = hi;
                     scope.spawn(move || {
                         step_shard(
-                            rc_ref, round, lo, mine, nodes, arena_ref, started_ref, buf, scratch,
+                            rc_ref,
+                            round,
+                            lo,
+                            mine,
+                            nodes,
+                            arena_ref,
+                            started_ref,
+                            buf,
+                            scratch,
                             out,
                         )
                     });
@@ -475,19 +419,14 @@ where
             // kept) for the next round.
             for out in &mut outs[..used] {
                 if out.status_changed {
-                    last_status_change = Some(round);
+                    ledger.tally.note_status_change(round);
                 }
                 for &(w, v) in &out.wakes {
-                    // Eager crash filtering, as at setup: a timer its
-                    // owner's crash outlives is never armed (the async
-                    // runtime makes the same arm-time decision, so the
-                    // reported crash horizons agree across runtimes).
-                    match ledger.crash_round.get(v) {
-                        Some(c) if c <= w => {
-                            ledger.crash_horizon = ledger.crash_horizon.max(c);
-                            store.wake[v] = NO_WAKE;
-                        }
-                        _ => wake_heap.push(Reverse((w, v))),
+                    if ledger
+                        .fates
+                        .arm(&mut ledger.tally, v, w, &mut store.wake[v])
+                    {
+                        wake_heap.push(Reverse((w, v)));
                     }
                 }
                 for s in out.sends.drain(..) {
@@ -513,7 +452,7 @@ where
                 // node's own sends (and every later node's) reuse the
                 // entries in place.
                 arena.free(v);
-                let first = !started.get(v);
+                let first = !started.contains(v);
                 let effects = {
                     let mut sink = LedgerSink {
                         ledger: &mut ledger,
@@ -521,23 +460,26 @@ where
                         arena: &mut arena,
                     };
                     step_node(
-                        &rc, round, v, &mut view, v, first, &inbox_buf, &mut scratch, &mut sink,
+                        &rc,
+                        round,
+                        v,
+                        &mut view,
+                        v,
+                        first,
+                        &inbox_buf,
+                        &mut scratch,
+                        &mut sink,
                     )
                 };
                 // A changed timer needs a heap entry; the stale entry for
                 // the previously armed round (if any) stays in the heap.
-                // Crash-filtered eagerly, as at setup.
                 if let Some(w) = effects.rearmed {
-                    match ledger.crash_round.get(v) {
-                        Some(c) if c <= w => {
-                            ledger.crash_horizon = ledger.crash_horizon.max(c);
-                            view.wake[v] = NO_WAKE;
-                        }
-                        _ => wake_heap.push(Reverse((w, v))),
+                    if ledger.fates.arm(&mut ledger.tally, v, w, &mut view.wake[v]) {
+                        wake_heap.push(Reverse((w, v)));
                     }
                 }
                 if effects.status_changed {
-                    last_status_change = Some(round);
+                    ledger.tally.note_status_change(round);
                 }
                 if let Some(rng) = effects.drew {
                     drawn.push((v, rng));
@@ -550,8 +492,8 @@ where
         // were already freed at fill time; the rotation at the top of the
         // next iteration promotes the staged side.)
         for &v in &active {
-            started.set(v);
-            in_active[v] = false;
+            started.insert(v);
+            in_active.remove(v);
         }
         active.clear();
         // First draws observed on a lazy RNG column: materialize it (all
@@ -566,16 +508,16 @@ where
             }
         }
 
-        round_totals.push((round, ledger.messages));
+        round_totals.push((round, ledger.tally.messages));
         round += 1;
     }
 
-    ledger.finish(
+    ledger.tally.finish(
         &store.statuses,
-        rounds_used,
         round,
         termination,
-        last_status_change,
+        &ledger.fates.crash_round,
+        ledger.watch_hits,
         round_totals,
     )
 }
@@ -1328,9 +1270,8 @@ mod tests {
         for cfg in [
             flood_cfg(16, 12, 9),
             flood_cfg(16, 12, 9).with_parallelism(Parallelism::Threads(3)),
-            flood_cfg(16, 12, 9).with_adversary(crate::adversary::Adversary::BoundedDelay {
-                max_delay: 2,
-            }),
+            flood_cfg(16, 12, 9)
+                .with_adversary(crate::adversary::Adversary::BoundedDelay { max_delay: 2 }),
         ] {
             assert_eq!(run(&t, &cfg, mk), run(&g, &cfg, mk));
         }
@@ -1432,7 +1373,11 @@ mod tests {
             "every node's lazy draws must match its pristine stream"
         );
         // And the whole thing is thread-count invariant.
-        let par = run(&g, &cfg.clone().with_parallelism(Parallelism::Threads(3)), mk);
+        let par = run(
+            &g,
+            &cfg.clone().with_parallelism(Parallelism::Threads(3)),
+            mk,
+        );
         assert_eq!(par, out);
     }
 

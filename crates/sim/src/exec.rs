@@ -21,14 +21,20 @@
 //!   sends), parameterized over a `SendSink` so each runtime decides where
 //!   staged sends go without re-implementing the stepping rules, and over
 //!   a [`Topology`] so implicit (procedural) graphs never materialize;
-//! * **message accounting** — `Ledger`: message/bit totals, CONGEST
-//!   budget checks, per-directed-edge statistics (lazily allocated, see
-//!   [`crate::SimConfig::edge_stats`]), watch-edge crossings, adversary
-//!   fates, and delivery queueing through a flat [`CalendarQueue`] (ring
-//!   buffer for the near-future window, `BTreeMap` overflow tier for
-//!   far-future deliveries);
+//! * **accounting** — the one copy of every count the paper's claims are
+//!   stated in, used by both runtimes: `Tally`, the mergeable totals
+//!   (messages, bits, CONGEST violations, largest message, per-directed-
+//!   edge counts and first use — lazily allocated, see
+//!   [`crate::SimConfig::edge_stats`] — drops, late deliveries, crash
+//!   horizon, last status change); `Fates`, the adversary's decision for
+//!   every timer (the crash filter, spontaneous-wakeup arming) and every
+//!   message (the lockstep shortcut, the schedule query, the
+//!   dead-on-arrival check); and `WatchIndex`, the validated, normalized
+//!   watched edges. The engine's `Ledger` adds its watch hits and its
+//!   delivery calendar (a flat [`CalendarQueue`]); each async worker fills
+//!   its own `Tally`, and the workers' tallies merge;
 //! * **outcome assembly** — [`RunOutcome`] and the final crash/termination
-//!   bookkeeping (`Ledger::finish`).
+//!   bookkeeping (`Tally::finish`), the same for every runtime.
 //!
 //! What is *not* here is exactly what distinguishes runtimes: the decision
 //! of **when** a node steps (the lockstep engine's active set, wakeup heap
@@ -47,7 +53,7 @@ use crate::message::Message;
 use crate::protocol::{Context, Knowledge, NodeSetup, Protocol, Status};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ule-lint: allow(unordered-iter, reason = "HashMap import used only for watch_index, which is lookup-only (see its suppressions)")
+// ule-lint: allow(unordered-iter, reason = "HashMap import used only for WatchIndex, which is lookup-only (see its suppressions)")
 use std::collections::HashMap;
 use ule_graph::{Id, NodeId, Port, Topology};
 
@@ -236,6 +242,17 @@ pub(crate) struct RunCtx<'a, T> {
     pub(crate) seed: u64,
 }
 
+impl<'a, T: Topology> RunCtx<'a, T> {
+    pub(crate) fn new(topo: &'a T, config: &'a SimConfig) -> Self {
+        RunCtx {
+            topo,
+            ids: ids_slice(config, topo.n()),
+            knowledge: config.knowledge,
+            seed: config.seed,
+        }
+    }
+}
+
 // Manual impls: the derived ones would demand `T: Copy`, and the context
 // only holds a reference to the topology.
 impl<T> Clone for RunCtx<'_, T> {
@@ -252,7 +269,7 @@ impl<T> Copy for RunCtx<'_, T> {}
 ///
 /// Panics if an explicit assignment does not cover the graph (the panic
 /// message is part of the API, shared with [`init_store`]).
-pub(crate) fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
+fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
     match &config.ids {
         IdMode::Anonymous => None,
         IdMode::Explicit(a) => {
@@ -830,6 +847,38 @@ pub(crate) fn validate_wakeup(config: &SimConfig, n: usize) {
     }
 }
 
+/// One bit per node: the engine's active-set dedup flags and every
+/// runtime's ever-started flags (a `Vec<bool>` would spend a byte a node).
+pub(crate) struct Bitmap {
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    pub(crate) fn new(n: usize) -> Self {
+        Bitmap {
+            words: vec![0u64; n.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Sets bit `i`; returns whether it was clear before.
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let fresh = !self.contains(i);
+        self.words[i / 64] |= 1 << (i % 64);
+        fresh
+    }
+
+    #[inline]
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+}
+
 /// Each node's fail-stop round, asked of the schedule once per node (in
 /// ascending order) at run setup. The column is stored only when some
 /// node has a crash round: under the crash-free adversaries (lockstep,
@@ -856,33 +905,371 @@ impl CrashRounds {
     }
 }
 
-/// All global per-message accounting of a run, plus the adversary that
-/// decides each message's fate. Every send — whether stepped inline or in
-/// a shard — funnels through [`Ledger::record`] on the sequential control
-/// thread, in stable merge order, so the accounting is identical at any
-/// thread count. Fates themselves are consulted per edge: the schedule
-/// sees `(round, didx, edge_seq)` where `edge_seq` is the per-edge send
-/// index, a derivation any runtime reproduces locally (the async runtime
-/// computes the very same fates on its worker threads).
-pub(crate) struct Ledger<M> {
-    pub(crate) budget: u64,
+/// The commutative counts of a run: message, bit and CONGEST totals,
+/// per-directed-edge statistics, drops, late deliveries, the crash horizon
+/// and the last status change. The engine fills one for the whole run;
+/// each async worker fills one for the sends of its own nodes, and the
+/// workers' tallies [`merge`](Tally::merge) into the same totals, because
+/// every field is a sum, a minimum or a maximum.
+pub(crate) struct Tally {
+    budget: u64,
+    /// Whether the outcome reports the per-directed-edge columns (see
+    /// [`crate::SimConfig::edge_stats`]).
+    edge_stats: bool,
     pub(crate) messages: u64,
-    pub(crate) bits: u64,
-    pub(crate) congest_violations: u64,
-    pub(crate) max_message_bits: u64,
-    /// Whether the run materializes the two per-directed-edge arrays in
-    /// its outcome (see [`crate::SimConfig::edge_stats`]).
-    pub(crate) edge_stats: bool,
+    bits: u64,
+    congest_violations: u64,
+    max_message_bits: u64,
     /// Allocated iff `edge_stats` (empty = off).
-    pub(crate) first_directed_use: Vec<u64>,
-    /// Allocated iff `edge_stats` *or* the run is asynchronous (fates
-    /// consume the per-edge send index even when the outcome won't report
-    /// it). Empty only when neither needs it.
-    pub(crate) directed_message_counts: Vec<u64>,
-    /// Normalized watched edge → indices into `watch_hits` (duplicates
-    /// supported: one crossing fills them all).
+    first_directed_use: Vec<u64>,
+    /// Allocated iff `edge_stats` or the run consumes per-edge send
+    /// indices (see [`Tally::new`]). Empty only when neither needs it.
+    directed_message_counts: Vec<u64>,
+    messages_dropped: u64,
+    /// `(delivery round, count)` of deliveries later than `send + 1`,
+    /// ascending by round.
+    late: Vec<(u64, u64)>,
+    /// Latest crash round whose *effect* the run observed (a suppressed
+    /// wakeup or a dropped delivery); extends the horizon that decides
+    /// which crashes are reported as fired.
+    crash_horizon: u64,
+    last_status_change: Option<u64>,
+}
+
+impl Tally {
+    /// An empty tally for a run of `config` on `topo`. `sequenced` keeps
+    /// the per-edge send counts even with edge statistics off: they are
+    /// the coordinate of every fate under a non-lockstep adversary, and
+    /// the frame sequence numbers of the async runtime.
+    pub(crate) fn new<T: Topology>(topo: &T, config: &SimConfig, sequenced: bool) -> Tally {
+        let dcount = topo.directed_edge_count();
+        let edge_stats = config.edge_stats;
+        Tally {
+            budget: config.model.bit_budget(topo.n()),
+            edge_stats,
+            messages: 0,
+            bits: 0,
+            congest_violations: 0,
+            max_message_bits: 0,
+            first_directed_use: if edge_stats {
+                vec![u64::MAX; dcount]
+            } else {
+                Vec::new()
+            },
+            directed_message_counts: if edge_stats || sequenced {
+                vec![0u64; dcount]
+            } else {
+                Vec::new()
+            },
+            messages_dropped: 0,
+            late: Vec::new(),
+            crash_horizon: 0,
+            last_status_change: None,
+        }
+    }
+
+    /// Accounts one send of `bits` bits on directed edge `didx` in
+    /// `round`; returns its per-edge send index (how many sends the edge
+    /// saw before this one — 0 when the counts column is off, where no
+    /// fate consumes it).
+    #[inline]
+    pub(crate) fn count(&mut self, round: u64, bits: u64, didx: usize) -> u64 {
+        self.messages += 1;
+        self.bits += bits;
+        self.max_message_bits = self.max_message_bits.max(bits);
+        if bits > self.budget {
+            self.congest_violations += 1;
+        }
+        if !self.first_directed_use.is_empty() && self.first_directed_use[didx] == u64::MAX {
+            self.first_directed_use[didx] = round;
+        }
+        if self.directed_message_counts.is_empty() {
+            0
+        } else {
+            self.directed_message_counts[didx] += 1;
+            self.directed_message_counts[didx] - 1
+        }
+    }
+
+    pub(crate) fn note_status_change(&mut self, round: u64) {
+        self.last_status_change = self.last_status_change.max(Some(round));
+    }
+
+    fn add_late(&mut self, at: u64, count: u64) {
+        // Fates for one stepping round never decrease below `round + 1`,
+        // but a later round's near fate can undercut an earlier round's
+        // far fate, so insertion sort by round (the tail case is the
+        // common one).
+        match self.late.binary_search_by_key(&at, |&(r, _)| r) {
+            Ok(i) => self.late[i].1 += count,
+            Err(i) => self.late.insert(i, (at, count)),
+        }
+    }
+
+    /// Folds `other` (a tally of the same run) into `self`.
+    pub(crate) fn merge(&mut self, other: Tally) {
+        self.messages += other.messages;
+        self.bits += other.bits;
+        self.congest_violations += other.congest_violations;
+        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
+        for (a, b) in self
+            .first_directed_use
+            .iter_mut()
+            .zip(other.first_directed_use)
+        {
+            *a = (*a).min(b);
+        }
+        for (a, b) in self
+            .directed_message_counts
+            .iter_mut()
+            .zip(other.directed_message_counts)
+        {
+            *a += b;
+        }
+        self.messages_dropped += other.messages_dropped;
+        for (at, count) in other.late {
+            self.add_late(at, count);
+        }
+        self.crash_horizon = self.crash_horizon.max(other.crash_horizon);
+        self.last_status_change = self.last_status_change.max(other.last_status_change);
+    }
+
+    /// Final crash/termination bookkeeping and outcome assembly, shared by
+    /// every runtime: decides which scheduled crashes are reported as
+    /// fired (everything at or before `end_round`, extended by crashes
+    /// whose effect — a suppressed wakeup, a dropped delivery — was
+    /// already observed), and downgrades a quiescent run in which every
+    /// node died to [`Termination::AllCrashed`]. `round_totals` has one
+    /// entry per active round, so its last round fixes
+    /// [`RunOutcome::rounds`].
+    pub(crate) fn finish(
+        self,
+        statuses: &[Status],
+        end_round: u64,
+        mut termination: Termination,
+        crash_round: &CrashRounds,
+        watch_hits: Vec<Option<WatchHit>>,
+        round_totals: Vec<(u64, u64)>,
+    ) -> RunOutcome {
+        let n = statuses.len();
+        let end = end_round.max(self.crash_horizon);
+        let crashed: Vec<NodeId> = (0..n)
+            .filter(|&v| crash_round.get(v).is_some_and(|c| c <= end))
+            .collect();
+        if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
+            termination = Termination::AllCrashed;
+        }
+        let edge_stats = self.edge_stats;
+        let per_edge = |column: Vec<u64>| if edge_stats { column } else { Vec::new() };
+        RunOutcome {
+            rounds: round_totals.last().map_or(0, |&(r, _)| r + 1),
+            messages: self.messages,
+            bits: self.bits,
+            statuses: statuses.to_vec(),
+            termination,
+            congest_violations: self.congest_violations,
+            max_message_bits: self.max_message_bits,
+            watch_hits,
+            first_directed_use: per_edge(self.first_directed_use),
+            directed_message_counts: per_edge(self.directed_message_counts),
+            last_status_change: self.last_status_change,
+            round_totals,
+            crashed,
+            messages_dropped: self.messages_dropped,
+            late_deliveries: self.late,
+        }
+    }
+}
+
+/// The adversary as every runtime consults it: the run's schedule, each
+/// node's crash round and the lockstep shortcut. It decides the fate of
+/// every timer ([`Fates::arm`]) and every message ([`Fates::fate`]).
+/// Fate queries are pure, so async workers share one `Fates` by
+/// reference; only wakeup arming, at setup, needs it mutably.
+pub(crate) struct Fates {
+    /// True under the default [`Adversary::Lockstep`]: every fate is the
+    /// identity (deliver next round, nothing crashes), so the per-message
+    /// schedule call is skipped. `tests/properties.rs` pins this shortcut
+    /// against the general path (`Compose([Lockstep])`,
+    /// `BoundedDelay { max_delay: 0 }` take the general path and must
+    /// produce identical outcomes).
+    pub(crate) synchronous: bool,
+    schedule: Box<dyn Schedule>,
+    /// Precomputed fail-stop round per node (queried once at run setup).
+    pub(crate) crash_round: CrashRounds,
+}
+
+impl Fates {
+    /// Builds the adversary schedule of `config` on `topo` and asks it for
+    /// every node's crash round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adversary names an out-of-range node or a non-edge.
+    pub(crate) fn new<T: Topology>(topo: &T, config: &SimConfig) -> Fates {
+        let mut schedule = config.adversary.build(config.seed, topo);
+        let crash_round = CrashRounds::new(&mut *schedule, topo.n());
+        Fates {
+            synchronous: config.adversary == Adversary::Lockstep,
+            schedule,
+            crash_round,
+        }
+    }
+
+    /// Arms `v`'s timer for round `w` into `slot` — unless `v` fail-stops
+    /// at or before `w`: then the slot is disarmed and the crash, whose
+    /// effect the run has now observed, extends `tally`'s crash horizon.
+    /// Returns whether the timer is armed. Every timer, spontaneous or
+    /// re-armed, is filtered here, so a crashed node never becomes due on
+    /// any runtime.
+    #[inline]
+    pub(crate) fn arm(&self, tally: &mut Tally, v: NodeId, w: u64, slot: &mut u64) -> bool {
+        match self.crash_round.get(v) {
+            Some(c) if c <= w => {
+                tally.crash_horizon = tally.crash_horizon.max(c);
+                *slot = NO_WAKE;
+                false
+            }
+            _ => {
+                *slot = w;
+                true
+            }
+        }
+    }
+
+    /// Arms every node's spontaneous wakeup into `wake`, in ascending node
+    /// order, and calls `armed(v, w)` for each armed timer. A node wakes
+    /// only if both the wakeup discipline and the adversary let it, at the
+    /// later round either demands: the `Compose` rule, inlined because the
+    /// discipline constrains nothing but wakeups.
+    pub(crate) fn arm_wakeups(
+        &mut self,
+        config: &SimConfig,
+        tally: &mut Tally,
+        wake: &mut [u64],
+        mut armed: impl FnMut(NodeId, u64),
+    ) {
+        let mut discipline = config.wakeup.as_schedule();
+        for (v, slot) in wake.iter_mut().enumerate() {
+            if let (Some(a), Some(b)) = (discipline.wake_round(v), self.schedule.wake_round(v)) {
+                let w = a.max(b);
+                if self.arm(tally, v, w, slot) {
+                    armed(v, w);
+                }
+            }
+        }
+    }
+
+    /// Decides the fate of send `s` from `round`, already counted in
+    /// `tally` with per-edge send index `edge_seq`: `Some(at)` delivers
+    /// it at round `at`, `None` drops it — lost in flight, or dead on
+    /// arrival at a destination that fail-stops at or before `at`. Drops,
+    /// late deliveries and observed crashes are tallied. Fates are pure
+    /// in `(round, edge, edge_seq)`, so every runtime derives the same
+    /// ones wherever it counts the send.
+    #[inline]
+    pub(crate) fn fate<M>(
+        &self,
+        tally: &mut Tally,
+        round: u64,
+        edge_seq: u64,
+        s: &StagedSend<M>,
+    ) -> Option<u64> {
+        if self.synchronous {
+            return Some(round + 1);
+        }
+        let fate = self.schedule.message_fate(&SendView {
+            round,
+            edge_seq,
+            src: s.src,
+            dest: s.dest,
+            didx: s.didx,
+        });
+        let at = match fate {
+            Fate::Dropped => {
+                tally.messages_dropped += 1;
+                return None;
+            }
+            Fate::Deliver { round: at } => at,
+        };
+        assert!(
+            at > round,
+            "Schedule bug: message sent in round {round} scheduled for delivery at round {at}"
+        );
+        if let Some(c) = self.crash_round.get(s.dest) {
+            if c <= at {
+                tally.messages_dropped += 1;
+                tally.crash_horizon = tally.crash_horizon.max(c);
+                return None;
+            }
+        }
+        if at > round + 1 {
+            tally.add_late(at, 1);
+        }
+        Some(at)
+    }
+}
+
+/// The watched edges of a run, validated against the topology and keyed
+/// by the normalized undirected edge `(min, max)`: an entry given in
+/// either endpoint order, or listed twice, is found by a send in either
+/// direction. Every runtime records crossings through this one index.
+pub(crate) struct WatchIndex {
+    /// Normalized edge → positions in `SimConfig::watch_edges`. One hash
+    /// lookup per sent message replaces an O(|watch|) scan per message.
     // ule-lint: allow(unordered-iter, reason = "lookup-only per-message hot path (get); never iterated, so order cannot reach a RunOutcome")
-    pub(crate) watch_index: HashMap<(NodeId, NodeId), Vec<usize>>,
+    index: HashMap<(NodeId, NodeId), Vec<usize>>,
+    len: usize,
+}
+
+impl WatchIndex {
+    /// # Panics
+    ///
+    /// Panics if a watched edge is not an edge of `topo` (the panic
+    /// message is part of the API).
+    pub(crate) fn new<T: Topology>(topo: &T, edges: &[(NodeId, NodeId)]) -> WatchIndex {
+        // ule-lint: allow(unordered-iter, reason = "built once, then lookup-only; never iterated, so order cannot reach a RunOutcome")
+        let mut index: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        for (i, &(a, b)) in edges.iter().enumerate() {
+            let (a, b) = (a.min(b), a.max(b));
+            assert!(
+                topo.has_edge(a, b),
+                "watch edge ({a}, {b}) is not an edge of the graph"
+            );
+            index.entry((a, b)).or_default().push(i);
+        }
+        WatchIndex {
+            index,
+            len: edges.len(),
+        }
+    }
+
+    /// Number of watch entries (duplicates included).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The watch entries a send between `a` and `b` crosses.
+    #[inline]
+    pub(crate) fn get(&self, a: NodeId, b: NodeId) -> &[usize] {
+        if self.index.is_empty() {
+            return &[];
+        }
+        self.index
+            .get(&(a.min(b), a.max(b)))
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The lockstep engine's accounting: the run's [`Tally`], the [`Fates`]
+/// that route each send, the watch hits, and the delivery calendar. Every
+/// send — whether stepped inline or in a shard — funnels through
+/// [`Ledger::route`] on the sequential control thread, in stable merge
+/// order, so the accounting is identical at any thread count.
+pub(crate) struct Ledger<M> {
+    pub(crate) tally: Tally,
+    pub(crate) fates: Fates,
+    watch: WatchIndex,
     pub(crate) watch_hits: Vec<Option<WatchHit>>,
     /// The *delayed*-delivery queue: a flat calendar (ring + overflow
     /// tier) keyed by delivery round. Only fates beyond `round + 1` land
@@ -898,90 +1285,30 @@ pub(crate) struct Ledger<M> {
     /// compacted to `u32` — half the queue footprint at graph scale (the
     /// node count is asserted to fit at ledger construction).
     pub(crate) queue: CalendarQueue<(u32, u32, M)>,
-    pub(crate) messages_dropped: u64,
-    pub(crate) late: Vec<(u64, u64)>,
-    /// True under the default [`Adversary::Lockstep`]: every fate is the
-    /// identity (deliver next round, nothing crashes), so the per-message
-    /// schedule call is skipped. `tests/properties.rs` pins this shortcut
-    /// against the general path (`Compose([Lockstep])`,
-    /// `BoundedDelay { max_delay: 0 }` take the general path and must
-    /// produce identical outcomes).
-    pub(crate) synchronous: bool,
-    pub(crate) schedule: Box<dyn Schedule>,
-    /// Precomputed fail-stop round per node (queried once at run setup).
-    pub(crate) crash_round: CrashRounds,
-    /// Latest crash round whose *effect* the run observed (a suppressed
-    /// wakeup or a dropped delivery); extends the horizon that decides
-    /// which crashes are reported as fired.
-    pub(crate) crash_horizon: u64,
 }
 
 impl<M: Message> Ledger<M> {
-    /// A fresh ledger for a run of `config` on `topo`: builds the
-    /// adversary schedule, precomputes crash rounds, normalizes and
-    /// indexes the watched edges.
+    /// A fresh ledger for a run of `config` on `topo`.
     ///
     /// # Panics
     ///
-    /// Panics if a watched edge is not an edge of the graph (the panic
-    /// message is part of the API), or if the node count exceeds `u32`
-    /// (the delivery queue compacts node indices).
+    /// Panics on an invalid adversary or watch edge (see [`Fates::new`],
+    /// [`WatchIndex::new`]), or if the node count exceeds `u32` (the
+    /// delivery queue compacts node indices).
     pub(crate) fn new<T: Topology>(topo: &T, config: &SimConfig) -> Self {
         let n = topo.n();
         assert!(
             n as u64 <= u32::MAX as u64,
             "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
         );
-        let mut schedule: Box<dyn Schedule> = config.adversary.build(config.seed, topo);
-        let crash_round = CrashRounds::new(&mut *schedule, n);
-
-        let watch: Vec<(NodeId, NodeId)> = config
-            .watch_edges
-            .iter()
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        // Normalized edge → indices into `watch` (duplicate watch entries
-        // are supported: one crossing fills them all). One hash lookup per
-        // sent message replaces the historical O(|watch|) scan per message.
-        // ule-lint: allow(unordered-iter, reason = "built once, then lookup-only; never iterated, so order cannot reach a RunOutcome")
-        let mut watch_index: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
-        for (i, &(a, b)) in watch.iter().enumerate() {
-            assert!(
-                topo.has_edge(a, b),
-                "watch edge ({a}, {b}) is not an edge of the graph"
-            );
-            watch_index.entry((a, b)).or_default().push(i);
-        }
-
-        let synchronous = config.adversary == Adversary::Lockstep;
-        let edge_stats = config.edge_stats;
-        let dcount = topo.directed_edge_count();
+        let fates = Fates::new(topo, config);
+        let watch = WatchIndex::new(topo, &config.watch_edges);
         Ledger {
-            budget: config.model.bit_budget(n),
-            messages: 0,
-            bits: 0,
-            congest_violations: 0,
-            max_message_bits: 0,
-            edge_stats,
-            first_directed_use: if edge_stats {
-                vec![u64::MAX; dcount]
-            } else {
-                Vec::new()
-            },
-            directed_message_counts: if edge_stats || !synchronous {
-                vec![0u64; dcount]
-            } else {
-                Vec::new()
-            },
-            watch_index,
+            tally: Tally::new(topo, config, !fates.synchronous),
+            fates,
             watch_hits: vec![None; watch.len()],
+            watch,
             queue: CalendarQueue::new(),
-            messages_dropped: 0,
-            late: Vec::new(),
-            synchronous,
-            schedule,
-            crash_round,
-            crash_horizon: 0,
         }
     }
 
@@ -990,146 +1317,18 @@ impl<M: Message> Ledger<M> {
     /// The caller routes the delivery — the engine sends synchronous
     /// fates (`at == round + 1`, the overwhelmingly common case) straight
     /// into the inbox arena's *next* side and only delayed fates through
-    /// the calendar queue. Mirrors the historical sequential accounting
-    /// exactly when every fate is "deliver next round".
-    pub(crate) fn route(
-        &mut self,
-        round: u64,
-        s: StagedSend<M>,
-    ) -> Option<(u64, u32, u32, M)> {
-        self.messages += 1;
-        self.bits += s.bits;
-        self.max_message_bits = self.max_message_bits.max(s.bits);
-        if s.bits > self.budget {
-            self.congest_violations += 1;
-        }
-        // The per-edge send index (how many sends this directed edge saw
-        // before this one) — the schedule's stream coordinate. Captured
-        // before the increment so it matches the async runtime's `LinkSeq`
-        // frame counters exactly. The counts column is empty only on
-        // synchronous edge-stats-off runs, where no fate consumes it.
-        let edge_seq = if self.directed_message_counts.is_empty() {
-            0
-        } else {
-            let e = self.directed_message_counts[s.didx];
-            self.directed_message_counts[s.didx] += 1;
-            e
-        };
-        if !self.first_directed_use.is_empty() && self.first_directed_use[s.didx] == u64::MAX {
-            self.first_directed_use[s.didx] = round;
-        }
-        let at = if self.synchronous {
-            // Lockstep identity fate, skipped wholesale: deliver next
-            // round, nothing drops, nothing crashes.
-            round + 1
-        } else {
-            let fate = self.schedule.message_fate(&SendView {
+    /// the calendar queue.
+    #[inline]
+    pub(crate) fn route(&mut self, round: u64, s: StagedSend<M>) -> Option<(u64, u32, u32, M)> {
+        let edge_seq = self.tally.count(round, s.bits, s.didx);
+        let at = self.fates.fate(&mut self.tally, round, edge_seq, &s)?;
+        for &i in self.watch.get(s.src, s.dest) {
+            self.watch_hits[i].get_or_insert(WatchHit {
                 round,
-                edge_seq,
-                src: s.src,
-                dest: s.dest,
-                didx: s.didx,
+                messages_before: self.tally.messages - 1,
             });
-            let at = match fate {
-                Fate::Dropped => {
-                    self.messages_dropped += 1;
-                    return None;
-                }
-                Fate::Deliver { round: at } => at,
-            };
-            assert!(
-                at > round,
-                "Schedule bug: message sent in round {round} scheduled for delivery at round {at}"
-            );
-            if let Some(c) = self.crash_round.get(s.dest) {
-                if c <= at {
-                    // Dead on arrival: the destination fail-stops at or
-                    // before the delivery round.
-                    self.messages_dropped += 1;
-                    self.crash_horizon = self.crash_horizon.max(c);
-                    return None;
-                }
-            }
-            if at > round + 1 {
-                // Late-delivery tally, ascending by round. Fates for one
-                // stepping round never decrease below `round + 1`, but a
-                // later round's near fate can undercut an earlier round's
-                // far fate, so insertion sort by round (the tail case is
-                // the common one).
-                match self.late.binary_search_by_key(&at, |&(r, _)| r) {
-                    Ok(i) => self.late[i].1 += 1,
-                    Err(i) => self.late.insert(i, (at, 1)),
-                }
-            }
-            at
-        };
-        if !self.watch_index.is_empty() {
-            if let Some(hits) = self
-                .watch_index
-                .get(&(s.src.min(s.dest), s.src.max(s.dest)))
-            {
-                for &i in hits {
-                    if self.watch_hits[i].is_none() {
-                        self.watch_hits[i] = Some(WatchHit {
-                            round,
-                            messages_before: self.messages - 1,
-                        });
-                    }
-                }
-            }
         }
         Some((at, s.dest as u32, s.dest_port as u32, s.msg))
-    }
-
-    /// Final crash/termination bookkeeping and outcome assembly, shared by
-    /// every runtime: decides which scheduled crashes are reported as
-    /// fired (everything at or before `end_round`, extended by crashes
-    /// whose effect — a suppressed wakeup, a dropped delivery — was
-    /// already observed), and downgrades a quiescent run in which every
-    /// node died to [`Termination::AllCrashed`].
-    pub(crate) fn finish(
-        self,
-        statuses: &[Status],
-        rounds_used: u64,
-        end_round: u64,
-        mut termination: Termination,
-        last_status_change: Option<u64>,
-        round_totals: Vec<(u64, u64)>,
-    ) -> RunOutcome {
-        let n = statuses.len();
-        let end = end_round.max(self.crash_horizon);
-        let crashed: Vec<NodeId> = (0..n)
-            .filter(|&v| self.crash_round.get(v).is_some_and(|c| c <= end))
-            .collect();
-        if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
-            termination = Termination::AllCrashed;
-        }
-
-        RunOutcome {
-            rounds: rounds_used,
-            messages: self.messages,
-            bits: self.bits,
-            statuses: statuses.to_vec(),
-            termination,
-            congest_violations: self.congest_violations,
-            max_message_bits: self.max_message_bits,
-            watch_hits: self.watch_hits,
-            first_directed_use: if self.edge_stats {
-                self.first_directed_use
-            } else {
-                Vec::new()
-            },
-            directed_message_counts: if self.edge_stats {
-                self.directed_message_counts
-            } else {
-                Vec::new()
-            },
-            last_status_change,
-            round_totals,
-            crashed,
-            messages_dropped: self.messages_dropped,
-            late_deliveries: self.late,
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! Drives the *same* [`Protocol`] implementations as the lockstep engine
 //! ([`crate::Runner`] on [`RuntimeKind::Sim`]), but over `std::sync::mpsc`
 //! channels: the nodes are partitioned across a worker thread pool, every
-//! message crosses a channel wrapped in a [`Frame`] whose sequence
+//! message crosses a channel with a [`Frame`] header whose sequence
 //! number is gated on arrival ([`crate::transport::LinkGate`]), and there
 //! is no global round loop — a node runs whenever its inputs are ready,
 //! and idle stretches are crossed by an **arbiter handshake** instead of a
@@ -40,22 +40,29 @@
 //! stronger than "message totals within tolerance": agreement validates
 //! the simulator's accounting against real concurrent execution.
 //!
-//! # Adversaries without a sequential bottleneck
+//! # One accounting core
 //!
-//! Delay, crash and link-failure adversaries run here with engine-equal
-//! outcomes because message fates are a pure function of `(run_seed,
-//! directed edge, per-edge send index)` (see [`crate::adversary`]): each
-//! worker derives the fate of its own sends locally from its per-edge
-//! [`LinkSeq`] counters — the same coordinates the engine's ledger feeds
-//! the schedule — so no global merge order is needed. Dropped sends still
-//! consume a frame sequence number (the receiving gate tolerates the
-//! gap), crashes suppress wakeups *at arm time* on both runtimes, and
-//! deliveries into a node at or past its crash round are discarded at the
-//! sender. Watch-edge accounting, whose `messages_before` field *is* a
-//! global-interleaving quantity, is reconstructed post-hoc from the
-//! delivery trace: events sorted by `(round, node)` are the engine's
-//! execution order, and replaying the fate derivation over the logged
-//! sends recovers exactly which send first crossed each watched edge.
+//! The runtime keeps no accounting of its own: each worker counts its
+//! sends in its own `crate::exec::Tally`, decides their fates and
+//! filters its timers through the run's shared `crate::exec::Fates`, and
+//! looks crossings up in the shared `crate::exec::WatchIndex` — the very
+//! code the engine's ledger runs. The tallies merge after the pool joins
+//! and finish into the [`RunOutcome`] exactly as the engine's does.
+//!
+//! Delay, crash and link-failure adversaries need no sequential
+//! bottleneck because message fates are a pure function of `(run_seed,
+//! directed edge, per-edge send index)` (see [`crate::adversary`]), and a
+//! directed edge's sends all come from the worker owning its source, so
+//! that worker's per-edge count is the engine's. The same count is the
+//! frame's sequence number: dropped sends consume one too (the receiving
+//! gate tolerates the gap), crashes suppress wakeups *at arm time* on
+//! both runtimes, and deliveries into a node at or past its crash round
+//! are discarded at the sender. Watch hits are the one global-interleaving
+//! quantity (`messages_before`): each worker keeps its earliest delivered
+//! crossing of each watched edge as `(round, sender, emission index)`, a
+//! position in the engine's global send order, and the delivery trace
+//! sorted by `(round, node)` — the engine's execution order — counts the
+//! sends before that position.
 //!
 //! # Determinism and the delivery trace
 //!
@@ -66,17 +73,16 @@
 //! and [`replay`] re-executes a trace sequentially, verifying every step
 //! and rebuilding the identical outcome and trace byte for byte.
 
-use crate::adversary::{Adversary, Fate, Schedule, SendView};
 use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    ids_slice, init_store, step_node, validate_wakeup, CrashRounds, RunCtx, RunOutcome, SendSink,
-    StagedSend, StepScratch, StoreSliceMut, Termination, WatchHit, NO_WAKE,
+    init_store, step_node, validate_wakeup, Bitmap, Fates, NodeStore, RunCtx, RunOutcome, SendSink,
+    StagedSend, StepScratch, StoreSliceMut, Tally, Termination, WatchHit, WatchIndex,
 };
 use crate::protocol::{NodeSetup, Protocol, Status};
-use crate::transport::{Frame, LinkGate, LinkSeq};
+use crate::transport::{Frame, LinkGate};
 use rand::rngs::StdRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 use ule_graph::{NodeId, Port, Topology};
@@ -187,75 +193,28 @@ impl AsyncRuntime {
         F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
     {
         let n = graph.n();
-        validate_wakeup(config, n);
-        validate_watch_edges(graph, config);
-        let mut store = init_store(graph, config, factory);
-        // The lazy RNG column is an engine-side diet: its first-draw
-        // write-back protocol lives in the engine's merge phase, so this
-        // runtime materializes the identical streams up front instead.
-        store.densify_rngs(config.seed);
-        if n == 0 {
-            return AsyncRun {
-                outcome: assemble(
-                    Vec::new(),
-                    &store.statuses,
-                    Termination::Quiescent,
-                    0,
-                    &CrashRounds::default(),
-                    0,
-                )
-                .0,
-                trace: DeliveryTrace::default(),
-            };
-        }
-        // Build the adversary schedule on the main thread. Fate queries
-        // are pure (`message_fate(&self)`), so the workers share it by
-        // reference; `wake_round`/`crash_round` are consulted here only.
-        let mut schedule = config.adversary.build(config.seed, graph);
-        let synchronous = config.adversary == Adversary::Lockstep;
-        let crash_round = CrashRounds::new(&mut *schedule, n);
-        // Arm the spontaneous wakeups: the engine's stacked rule (wakeup
-        // discipline AND adversary must wake — later round wins), with
-        // crashes resolved eagerly at arm time exactly as the engine does.
-        let mut setup_horizon = 0u64;
-        let mut wakeup_schedule = config.wakeup.as_schedule();
-        for v in 0..n {
-            let wake = match (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            if let Some(w) = wake {
-                match crash_round.get(v) {
-                    Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
-                    _ => store.wake[v] = w,
-                }
-            }
-        }
-        let schedule: &dyn Schedule = &*schedule;
-        let crash_round = &crash_round;
-        let rc = RunCtx {
-            topo: graph,
-            ids: ids_slice(config, n),
-            knowledge: config.knowledge,
-            seed: config.seed,
+        let (mut store, mut fates, watch) = set_up(graph, config, factory);
+        // An empty graph still gets one idle worker, whose first arbiter
+        // call ends the run.
+        let workers = self.workers.unwrap_or_else(|| default_workers(n));
+        let chunk = n.div_ceil(workers.clamp(1, n.max(1))).max(1);
+        let n_workers = n.div_ceil(chunk).max(1);
+        let mut logs: Vec<WorkerLog> = (0..n_workers)
+            .map(|_| WorkerLog::new(graph, config, &watch))
+            .collect();
+        fates.arm_wakeups(config, &mut logs[0].tally, &mut store.wake, |_, _| {});
+        let sh = Shared {
+            rc: RunCtx::new(graph, config),
+            fates,
+            watch,
+            coord: Mutex::new(Coord::new(n_workers)),
+            cap: config.max_rounds,
+            chunk,
+            n_workers,
+            // Watch hits are positioned through the event log, so it is
+            // kept even when the caller asked for no public trace.
+            record_trace: !self.no_trace || !config.watch_edges.is_empty(),
         };
-
-        let workers = self.workers.unwrap_or_else(|| default_workers(n)).min(n);
-        let chunk = n.div_ceil(workers);
-        let n_workers = n.div_ceil(chunk);
-        let budget = config.model.bit_budget(n);
-        let dcount = graph.directed_edge_count();
-
-        let mut stats: Vec<WorkerStats> =
-            (0..n_workers).map(|_| WorkerStats::new(dcount)).collect();
-        let coord = Mutex::new(Coord {
-            blocked: 0,
-            in_flight: 0,
-            next_event: vec![u64::MAX; n_workers],
-            last_exec: vec![None; n_workers],
-            termination: None,
-            end_round: 0,
-        });
         let mut senders: Vec<Sender<Packet<P::Msg>>> = Vec::with_capacity(n_workers);
         let mut receivers: Vec<Receiver<Packet<P::Msg>>> = Vec::with_capacity(n_workers);
         for _ in 0..n_workers {
@@ -264,172 +223,117 @@ impl AsyncRuntime {
             receivers.push(rx);
         }
 
-        // Watch-edge reconstruction needs the event log even when the
-        // caller asked for no public trace.
-        let record_trace = !self.no_trace || !config.watch_edges.is_empty();
         std::thread::scope(|scope| {
             let mut rest = store.as_mut();
-            let coord = &coord;
-            for ((w, stat), rx) in stats.iter_mut().enumerate().zip(receivers) {
+            for ((w, log), rx) in logs.iter_mut().enumerate().zip(receivers) {
                 let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let (mine, rem) = rest.split_at_mut(hi - lo);
+                let (mine, rem) = rest.split_at_mut((chunk * (w + 1)).min(n) - lo);
                 rest = rem;
-                let senders = senders.clone();
-                scope.spawn(move || {
-                    let worker = Worker {
-                        w,
-                        lo,
-                        hi,
-                        chunk,
-                        cap: config.max_rounds,
-                        budget,
-                        n_workers,
-                        record_trace,
-                        synchronous,
-                        rc,
-                        schedule,
-                        crash_round,
-                        store: mine,
-                        rt: (lo..hi).map(|v| NodeRt::new(graph.degree(v))).collect(),
-                        started: vec![false; hi - lo],
-                        inbox: Vec::new(),
-                        stats: stat,
-                        senders,
-                        coord,
-                        scratch: StepScratch::default(),
-                    };
-                    worker.run(rx)
-                });
+                let worker = Worker::new(&sh, w, lo, mine, log, senders.clone());
+                scope.spawn(move || worker.run(rx));
             }
         });
         drop(senders);
 
-        let (termination, end_round) = {
-            let coord = lock(&coord);
-            (
-                coord
-                    .termination
-                    .expect("workers stopped without an arbiter decision"),
-                coord.end_round,
-            )
-        };
-        let (mut outcome, mut events) = assemble(
-            stats,
+        let (termination, end_round) = lock(&sh.coord)
+            .verdict
+            .expect("workers stopped without an arbiter decision");
+        finish(
+            logs,
             &store.statuses,
             termination,
             end_round,
-            crash_round,
-            setup_horizon,
-        );
-        events.sort_by_key(|e| (e.round, e.node));
-        if !config.watch_edges.is_empty() {
-            outcome.watch_hits =
-                reconstruct_watch_hits(graph, config, &events, synchronous, schedule, crash_round);
-            if self.no_trace {
-                events.clear();
-            }
-        }
-        if !config.edge_stats {
-            outcome.first_directed_use = Vec::new();
-            outcome.directed_message_counts = Vec::new();
-        }
-        AsyncRun {
-            outcome,
-            trace: DeliveryTrace { events },
-        }
+            &sh.fates,
+            !self.no_trace,
+        )
     }
 }
 
-/// Panics (like the engine's ledger) if a configured watch edge is not an
-/// edge of `graph`.
-fn validate_watch_edges<T: Topology>(graph: &T, config: &SimConfig) {
-    for &(a, b) in &config.watch_edges {
-        assert!(
-            graph.has_edge(a, b),
-            "watch edge ({a}, {b}) is not an edge of the graph"
-        );
-    }
+/// The set-up [`AsyncRuntime::run`] and [`replay`] share: config
+/// validation (the engine's panics), the node store with its RNG streams
+/// materialized, the adversary and the watch index.
+fn set_up<T, P, F>(graph: &T, config: &SimConfig, factory: F) -> (NodeStore<P>, Fates, WatchIndex)
+where
+    T: Topology,
+    P: Protocol,
+    F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
+{
+    validate_wakeup(config, graph.n());
+    let watch = WatchIndex::new(graph, &config.watch_edges);
+    let mut store = init_store(graph, config, factory);
+    // The lazy RNG column is an engine-side diet: its first-draw
+    // write-back protocol lives in the engine's merge phase, so this
+    // runtime materializes the identical streams up front instead.
+    store.densify_rngs(config.seed);
+    (store, Fates::new(graph, config), watch)
 }
 
-/// Rebuilds the engine's watch-edge accounting from the delivery trace.
-///
-/// `events` sorted by `(round, node)` is exactly the engine's execution
-/// order, and every activation logs *all* of its sends — including
-/// dropped ones — as `(directed edge, per-edge send index)`. Re-deriving
-/// each send's fate (plus the sender-side dead-on-arrival crash check)
-/// therefore recovers which sends the engine actually delivered, in the
-/// engine's global send order; `messages_before` counts every send —
-/// delivered or not — strictly before the first delivered crossing, which
-/// is what the ledger counts too.
-fn reconstruct_watch_hits<T: Topology>(
-    graph: &T,
-    config: &SimConfig,
-    events: &[TraceEvent],
-    synchronous: bool,
-    schedule: &dyn Schedule,
-    crash_round: &CrashRounds,
-) -> Vec<Option<WatchHit>> {
-    // Directed-edge index -> (src, dest), and normalized undirected edge
-    // -> positions in `config.watch_edges` (duplicates all resolve).
-    let mut endpoints = vec![(0 as NodeId, 0 as NodeId); graph.directed_edge_count()];
-    for v in 0..graph.n() {
-        for p in 0..graph.degree(v) {
-            let (dest, _rev, didx) = graph.endpoint_indexed(v, p);
-            endpoints[didx] = (v, dest);
+/// Merges the workers' logs into the run's result: one [`Tally`], finished
+/// exactly as the engine finishes its own, the engine's `round_totals`,
+/// the trace in `(round, node)` order, and each watch entry's earliest
+/// crossing turned into its [`WatchHit`].
+fn finish(
+    logs: Vec<WorkerLog>,
+    statuses: &[Status],
+    termination: Termination,
+    end_round: u64,
+    fates: &Fates,
+    keep_trace: bool,
+) -> AsyncRun {
+    let mut logs = logs.into_iter();
+    let mut all = logs.next().expect("every run has a worker");
+    for log in logs {
+        all.tally.merge(log.tally);
+        for (r, c) in log.round_sends {
+            *all.round_sends.entry(r).or_insert(0) += c;
+        }
+        all.events.extend(log.events);
+        for (a, b) in all.crossings.iter_mut().zip(log.crossings) {
+            *a = (*a).min(b);
         }
     }
-    // Keyed exactly as the ledger keys its index: entries as configured,
-    // lookups normalized.
-    let mut watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
-    for (i, &(a, b)) in config.watch_edges.iter().enumerate() {
-        watch_index.entry((a, b)).or_default().push(i);
+    let mut events = all.events;
+    events.sort_by_key(|e| (e.round, e.node));
+    let mut cumulative = 0u64;
+    let round_totals: Vec<(u64, u64)> = all
+        .round_sends
+        .into_iter()
+        .map(|(r, c)| {
+            cumulative += c;
+            (r, cumulative)
+        })
+        .collect();
+    let watch_hits = all
+        .crossings
+        .iter()
+        .map(|&(round, src, emit)| {
+            (round != u64::MAX).then(|| {
+                let before = events.partition_point(|e| (e.round, e.node) < (round, src));
+                WatchHit {
+                    round,
+                    messages_before: events[..before]
+                        .iter()
+                        .map(|e| e.sent.len() as u64)
+                        .sum::<u64>()
+                        + emit,
+                }
+            })
+        })
+        .collect();
+    if !keep_trace {
+        events.clear();
     }
-    let mut hits: Vec<Option<WatchHit>> = vec![None; config.watch_edges.len()];
-    let mut unresolved = hits.len();
-    let mut sent_so_far: u64 = 0;
-    'events: for ev in events {
-        for &(didx, edge_seq) in &ev.sent {
-            let (src, dest) = endpoints[didx];
-            let delivered = if synchronous {
-                true
-            } else {
-                let view = SendView {
-                    round: ev.round,
-                    edge_seq,
-                    src,
-                    dest,
-                    didx,
-                };
-                match schedule.message_fate(&view) {
-                    Fate::Dropped => false,
-                    Fate::Deliver { round: at } => {
-                        !crash_round.get(dest).is_some_and(|c| c <= at)
-                    }
-                }
-            };
-            sent_so_far += 1;
-            if !delivered {
-                continue;
-            }
-            let key = (src.min(dest), src.max(dest));
-            if let Some(indices) = watch_index.get(&key) {
-                for &i in indices {
-                    if hits[i].is_none() {
-                        hits[i] = Some(WatchHit {
-                            round: ev.round,
-                            messages_before: sent_so_far - 1,
-                        });
-                        unresolved -= 1;
-                    }
-                }
-                if unresolved == 0 {
-                    break 'events;
-                }
-            }
-        }
+    AsyncRun {
+        outcome: all.tally.finish(
+            statuses,
+            end_round,
+            termination,
+            &fates.crash_round,
+            watch_hits,
+            round_totals,
+        ),
+        trace: DeliveryTrace { events },
     }
-    hits
 }
 
 /// Re-executes a recorded [`DeliveryTrace`] sequentially: every activation
@@ -450,166 +354,95 @@ where
     F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
 {
     let n = graph.n();
-    validate_wakeup(config, n);
-    validate_watch_edges(graph, config);
-    let mut store = init_store(graph, config, factory);
-    store.densify_rngs(config.seed);
-    let mut schedule = config.adversary.build(config.seed, graph);
-    let synchronous = config.adversary == Adversary::Lockstep;
-    let crash_round = CrashRounds::new(&mut *schedule, n);
-    let mut setup_horizon = 0u64;
-    let mut wakeup_schedule = config.wakeup.as_schedule();
-    for v in 0..n {
-        let wake = match (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if let Some(w) = wake {
-            match crash_round.get(v) {
-                Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
-                _ => store.wake[v] = w,
-            }
-        }
-    }
-    let schedule: &dyn Schedule = &*schedule;
-    let rc = RunCtx {
-        topo: graph,
-        ids: ids_slice(config, n),
-        knowledge: config.knowledge,
-        seed: config.seed,
-    };
     let cap = config.max_rounds;
-    let budget = config.model.bit_budget(n);
-    let mut rt: Vec<NodeRt<P::Msg>> = (0..n).map(|v| NodeRt::new(graph.degree(v))).collect();
-    let mut stats = WorkerStats::new(graph.directed_edge_count());
-    let mut scratch: StepScratch<P::Msg> = StepScratch::default();
-    let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
-    let mut started = vec![false; n];
-    // A replay is a one-worker execution with no channels: every delivery
-    // is local, so the sink's sender list and arbiter are never touched.
-    let senders: Vec<Sender<Packet<P::Msg>>> = Vec::new();
-    let coord = Mutex::new(Coord {
-        blocked: 0,
-        in_flight: 0,
-        next_event: Vec::new(),
-        last_exec: Vec::new(),
-        termination: None,
-        end_round: 0,
-    });
-
-    {
-        let mut view = store.as_mut();
-        for ev in &trace.events {
-            let (v, e) = (ev.node, ev.round);
-            assert!(
-                v < n,
-                "replay: trace names node {v}, but the graph has {n} nodes"
-            );
-            assert!(
-                e < cap,
-                "replay: trace activates node {v} at round {e}, at or past the round cap {cap}"
-            );
-            let mut due = rt[v].pending.take_at(e);
-            due.sort_by_key(|a| (a.0, a.1, a.2));
-            if due.is_empty() {
-                assert_eq!(
-                    view.wake[v], e,
-                    "replay: node {v} has no delivery and no timer due at round {e}"
-                );
-            }
-            let delivered: Vec<(Port, NodeId, u64)> = due
-                .iter()
-                .map(|&(_, src, emit, port, _)| (port, src, emit))
-                .collect();
-            assert_eq!(
-                delivered, ev.delivered,
-                "replay divergence: node {v} at round {e} consumes different deliveries"
-            );
-            inbox.clear();
-            inbox.extend(due.drain(..).map(|(_, _, _, port, msg)| (port, msg)));
-            rt[v].pending.recycle(due);
-            let mut sink = ChannelSink {
-                round: e,
-                lo: 0,
-                hi: n,
-                chunk: n,
-                budget,
-                synchronous,
-                schedule,
-                crash_round: &crash_round,
-                rt: &mut rt,
-                stats: &mut stats,
-                senders: &senders,
-                coord: &coord,
-                emit: 0,
-                sent_log: Vec::new(),
-                record_trace: true,
-            };
-            let effects = step_node(
-                &rc, e, v, &mut view, v, !started[v], &inbox, &mut scratch, &mut sink,
-            );
-            started[v] = true;
-            let sent = std::mem::take(&mut sink.sent_log);
-            assert_eq!(
-                sent, ev.sent,
-                "replay divergence: node {v} at round {e} emits different frames"
-            );
-            if let Some(w) = effects.rearmed {
-                if let Some(c) = crash_round.get(v) {
-                    if c <= w {
-                        view.wake[v] = NO_WAKE;
-                        stats.crash_horizon = stats.crash_horizon.max(c);
-                    }
-                }
-            }
-            stats.note_exec(e, v, delivered, sent, effects.status_changed, true);
-        }
+    let (mut store, mut fates, watch) = set_up(graph, config, factory);
+    let mut log = WorkerLog::new(graph, config, &watch);
+    fates.arm_wakeups(config, &mut log.tally, &mut store.wake, |_, _| {});
+    // A replay is one worker owning every node: every delivery is local,
+    // so it needs no channels and never blocks on the arbiter.
+    let sh = Shared {
+        rc: RunCtx::new(graph, config),
+        fates,
+        watch,
+        coord: Mutex::new(Coord::new(1)),
+        cap,
+        chunk: n.max(1),
+        n_workers: 1,
+        record_trace: true,
+    };
+    let mut worker = Worker::new(&sh, 0, 0, store.as_mut(), &mut log, Vec::new());
+    for ev in &trace.events {
+        let (v, e) = (ev.node, ev.round);
+        assert!(
+            v < n,
+            "replay: trace names node {v}, but the graph has {n} nodes"
+        );
+        assert!(
+            e < cap,
+            "replay: trace activates node {v} at round {e}, at or past the round cap {cap}"
+        );
+        assert_eq!(
+            next_event_round(worker.store.wake[v], &mut worker.rt[v]),
+            e,
+            "replay: node {v} has no delivery and no timer due at round {e}"
+        );
+        worker.execute(v, e);
+        let done = worker.log.events.last().expect("execute logs the event");
+        assert_eq!(
+            done.delivered, ev.delivered,
+            "replay divergence: node {v} at round {e} consumes different deliveries"
+        );
+        assert_eq!(
+            done.sent, ev.sent,
+            "replay divergence: node {v} at round {e} emits different frames"
+        );
     }
 
     // The trace carries no termination verdict; re-derive it the way the
     // arbiter did. Any event left executable below the cap means the
     // trace is truncated — that is a divergence, not a verdict.
     let r_next = (0..n)
-        .map(|v| next_event_round(store.wake[v], &mut rt[v]))
+        .map(|v| next_event_round(worker.store.wake[v], &mut worker.rt[v]))
         .min()
         .unwrap_or(u64::MAX);
-    let rounds_done = stats.last_exec.map_or(0, |r| r + 1);
-    let (termination, end_round) = if r_next == u64::MAX {
-        if rounds_done >= cap {
-            (Termination::RoundLimit, cap)
-        } else {
-            (Termination::Quiescent, rounds_done)
-        }
-    } else {
-        assert!(
-            r_next >= cap,
-            "replay: trace ended with an executable event at round {r_next} (cap {cap})"
-        );
-        (
-            Termination::RoundLimit,
-            if rounds_done >= cap { cap } else { r_next },
-        )
-    };
-    let (mut outcome, mut events) = assemble(
-        vec![stats],
+    let rounds_done = worker.last_exec().map_or(0, |r| r + 1);
+    let (termination, end_round) = verdict(r_next, rounds_done, cap).unwrap_or_else(|| {
+        panic!("replay: trace ended with an executable event at round {r_next} (cap {cap})")
+    });
+    drop(worker);
+    finish(
+        vec![log],
         &store.statuses,
         termination,
         end_round,
-        &crash_round,
-        setup_horizon,
-    );
-    events.sort_by_key(|e| (e.round, e.node));
-    if !config.watch_edges.is_empty() {
-        outcome.watch_hits =
-            reconstruct_watch_hits(graph, config, &events, synchronous, schedule, &crash_round);
-    }
-    if !config.edge_stats {
-        outcome.first_directed_use = Vec::new();
-        outcome.directed_message_counts = Vec::new();
-    }
-    AsyncRun {
-        outcome,
-        trace: DeliveryTrace { events },
+        &sh.fates,
+        true,
+    )
+}
+
+/// The arbiter's decision once no frame is in flight and `r_star` is the
+/// globally earliest next event (`u64::MAX` = none): `None` to advance to
+/// `r_star`, or the termination and the engine's end round (the round its
+/// loop would have broken at).
+fn verdict(r_star: u64, rounds_done: u64, cap: u64) -> Option<(Termination, u64)> {
+    if r_star == u64::MAX {
+        // Quiescent — unless the run *ended at* the cap, which the engine
+        // reports as a truncation.
+        Some(if rounds_done >= cap {
+            (Termination::RoundLimit, cap)
+        } else {
+            (Termination::Quiescent, rounds_done)
+        })
+    } else if r_star >= cap {
+        // The engine breaks as soon as its round counter reaches the cap:
+        // right after an active round at `cap - 1`, or after
+        // fast-forwarding to `r*`.
+        Some((
+            Termination::RoundLimit,
+            if rounds_done >= cap { cap } else { r_star },
+        ))
+    } else {
+        None
     }
 }
 
@@ -638,10 +471,8 @@ fn lock(coord: &Mutex<Coord>) -> std::sync::MutexGuard<'_, Coord> {
 
 /// What crosses the worker channels.
 enum Packet<M> {
-    /// One protocol message: the [`Frame`] carries the link sequence
-    /// number (gated on arrival) and the delivery metadata
-    /// `[send round, delivery round, sender, emission index]`; the
-    /// protocol payload rides alongside, untouched.
+    /// One protocol message: the [`Frame`] header (gated on arrival) and
+    /// the protocol payload, untouched.
     Payload {
         dest: NodeId,
         port: Port,
@@ -667,12 +498,33 @@ struct Coord {
     next_event: Vec<u64>,
     /// Per worker: latest executed round.
     last_exec: Vec<Option<u64>>,
-    termination: Option<Termination>,
-    /// The engine's `end_round` at the arbiter's stop decision (the round
-    /// its loop would have broken at): `rounds_done` on quiescence, the
-    /// truncation round on a round-limit stop. Crash horizons extend it
-    /// during assembly, exactly as in `Ledger::finish`.
-    end_round: u64,
+    /// The stop decision: termination and end round (see [`verdict`]).
+    verdict: Option<(Termination, u64)>,
+}
+
+impl Coord {
+    fn new(n_workers: usize) -> Self {
+        Coord {
+            blocked: 0,
+            in_flight: 0,
+            next_event: vec![u64::MAX; n_workers],
+            last_exec: vec![None; n_workers],
+            verdict: None,
+        }
+    }
+}
+
+/// Run-wide state every worker reads.
+struct Shared<'env, T> {
+    rc: RunCtx<'env, T>,
+    fates: Fates,
+    watch: WatchIndex,
+    coord: Mutex<Coord>,
+    cap: u64,
+    /// Nodes per worker: node `v` belongs to worker `v / chunk`.
+    chunk: usize,
+    n_workers: usize,
+    record_trace: bool,
 }
 
 /// Horizon of each node's delivery calendar: under the lockstep model
@@ -706,14 +558,14 @@ impl<M> NodeRt<M> {
 }
 
 /// The earliest round a node has any reason to run: its timer (`wake`,
-/// with [`NO_WAKE`] `== u64::MAX` meaning none) or its earliest queued
+/// with `NO_WAKE == u64::MAX` meaning none) or its earliest queued
 /// delivery.
 fn next_event_round<M>(wake: u64, rt: &mut NodeRt<M>) -> u64 {
     let delivery = rt.pending.next_event_round().unwrap_or(u64::MAX);
     wake.min(delivery)
 }
 
-/// Gates, decodes and queues one frame at its destination.
+/// Gates and queues one frame at its destination.
 ///
 /// The port clock advances to `send round + 1`, not to the delivery
 /// round: per-directed-edge send rounds strictly increase (a node sends
@@ -721,219 +573,104 @@ fn next_event_round<M>(wake: u64, rt: &mut NodeRt<M>) -> u64 {
 /// arrives, nothing still in flight on this port can be due at or before
 /// `s + 1` — even when a delay adversary scatters delivery rounds out of
 /// order.
-fn deliver_frame<M>(dest: &mut NodeRt<M>, port: Port, frame: &Frame, msg: M) {
-    let words = dest.gate.accept(port, frame);
-    debug_assert_eq!(
-        words.len(),
-        4,
-        "delivery frame carries [send round, deliver at, src, emit]"
+fn deliver_frame<M>(dest: &mut NodeRt<M>, port: Port, frame: Frame, msg: M) {
+    dest.gate.accept(port, &frame);
+    dest.in_clock[port] = dest.in_clock[port].max(frame.send_round + 1);
+    dest.pending.push(
+        frame.deliver_at,
+        (frame.send_round, frame.src, frame.emit, port, msg),
     );
-    let (send_round, at, src, emit) = (words[0], words[1], words[2] as NodeId, words[3]);
-    dest.in_clock[port] = dest.in_clock[port].max(send_round + 1);
-    dest.pending.push(at, (send_round, src, emit, port, msg));
 }
 
-/// Per-worker accounting, merged into the [`RunOutcome`] after the pool
-/// joins. Workers own disjoint node ranges, so per-directed-edge entries
-/// never collide (a node's out-edges belong to its owner).
-struct WorkerStats {
-    messages: u64,
-    bits: u64,
-    congest_violations: u64,
-    max_message_bits: u64,
-    first_directed_use: Vec<u64>,
-    directed_message_counts: Vec<u64>,
-    /// Outgoing link sequencers, by directed-edge index.
-    link_seq: Vec<LinkSeq>,
-    /// Messages sent per round (for the cumulative `round_totals`);
-    /// dropped sends count, exactly as in the ledger.
-    sends_per_round: BTreeMap<u64, u64>,
-    /// Rounds in which any owned node ran (the active rounds).
-    executed: BTreeSet<u64>,
-    /// Sends the adversary dropped or that would arrive at a crashed
-    /// destination (sender-side dead-on-arrival).
-    messages_dropped: u64,
-    /// Deliveries later than the synchronous `round + 1`, tallied by
-    /// delivery round.
-    late: BTreeMap<u64, u64>,
-    /// Latest crash round that suppressed a wakeup of an owned node.
-    crash_horizon: u64,
-    last_status_change: Option<u64>,
-    last_exec: Option<u64>,
+/// What one worker records: its share of the run's [`Tally`], plus what
+/// only this runtime needs — the sends per executed round (behind
+/// `round_totals`), its trace events, and its earliest crossing of each
+/// watched edge.
+struct WorkerLog {
+    tally: Tally,
+    /// Sends per executed round; every active round has an entry.
+    round_sends: BTreeMap<u64, u64>,
     events: Vec<TraceEvent>,
+    /// Per watch entry: the earliest delivered crossing as `(round,
+    /// sender, emission index)`, a position in the engine's global send
+    /// order (`u64::MAX` round = none).
+    crossings: Vec<(u64, NodeId, u64)>,
 }
 
-impl WorkerStats {
-    fn new(dcount: usize) -> Self {
-        WorkerStats {
-            messages: 0,
-            bits: 0,
-            congest_violations: 0,
-            max_message_bits: 0,
-            first_directed_use: vec![u64::MAX; dcount],
-            directed_message_counts: vec![0u64; dcount],
-            link_seq: (0..dcount).map(|_| LinkSeq::new()).collect(),
-            sends_per_round: BTreeMap::new(),
-            executed: BTreeSet::new(),
-            messages_dropped: 0,
-            late: BTreeMap::new(),
-            crash_horizon: 0,
-            last_status_change: None,
-            last_exec: None,
+impl WorkerLog {
+    fn new<T: Topology>(graph: &T, config: &SimConfig, watch: &WatchIndex) -> Self {
+        WorkerLog {
+            // Per-edge counts are the frame sequence numbers, so they are
+            // kept even with edge statistics off.
+            tally: Tally::new(graph, config, true),
+            round_sends: BTreeMap::new(),
             events: Vec::new(),
-        }
-    }
-
-    /// Books one activation of `node` at `round`.
-    fn note_exec(
-        &mut self,
-        round: u64,
-        node: NodeId,
-        delivered: Vec<(Port, NodeId, u64)>,
-        sent: Vec<(usize, u64)>,
-        status_changed: bool,
-        record_trace: bool,
-    ) {
-        self.executed.insert(round);
-        self.last_exec = Some(self.last_exec.map_or(round, |r| r.max(round)));
-        if status_changed {
-            self.last_status_change = Some(self.last_status_change.map_or(round, |r| r.max(round)));
-        }
-        if record_trace {
-            self.events.push(TraceEvent {
-                round,
-                node,
-                delivered,
-                sent,
-            });
+            crossings: vec![(u64::MAX, 0, 0); watch.len()],
         }
     }
 }
 
-/// The [`SendSink`] of the async runtime: accounts each send, stamps it
-/// into a [`Frame`] on its link, and either queues it locally (the
-/// destination shares this worker) or ships it over the destination
+/// The [`SendSink`] of the async runtime: accounts each send through the
+/// shared core, heads it with its [`Frame`], and either queues it locally
+/// (the destination shares this worker) or ships it over the destination
 /// worker's channel.
-struct ChannelSink<'a, M> {
+struct ChannelSink<'a, 'env, T, M> {
     round: u64,
     /// This worker's node range (`lo..hi`); `rt` is indexed by `v - lo`.
     lo: NodeId,
     hi: NodeId,
-    chunk: usize,
-    budget: u64,
-    /// Fast path: under [`Adversary::Lockstep`] no fate is queried.
-    synchronous: bool,
-    schedule: &'a dyn Schedule,
-    crash_round: &'a CrashRounds,
+    sh: &'a Shared<'env, T>,
     rt: &'a mut [NodeRt<M>],
-    stats: &'a mut WorkerStats,
+    log: &'a mut WorkerLog,
     senders: &'a [Sender<Packet<M>>],
-    coord: &'a Mutex<Coord>,
     /// Emission index within the current activation.
     emit: u64,
     /// `(directed-edge index, frame seq)` log of the current activation —
-    /// dropped sends included (the fate derivation recovers them).
-    sent_log: Vec<(usize, u64)>,
-    record_trace: bool,
+    /// dropped sends included.
+    sent: Vec<(usize, u64)>,
 }
 
-impl<M> SendSink<M> for ChannelSink<'_, M> {
+impl<T, M> SendSink<M> for ChannelSink<'_, '_, T, M> {
     fn accept(&mut self, send: StagedSend<M>) {
         let emit = self.emit;
         self.emit += 1;
-        let st = &mut *self.stats;
-        // The per-edge send index feeding the fate stream: the count
-        // *before* this send — the same coordinate the engine's ledger
-        // derives, and the value the link sequencer stamps next.
-        let edge_seq = st.directed_message_counts[send.didx];
-        st.messages += 1;
-        st.bits += send.bits;
-        st.max_message_bits = st.max_message_bits.max(send.bits);
-        if send.bits > self.budget {
-            st.congest_violations += 1;
+        // The edge's send count before this send: the fate coordinate and
+        // the frame's sequence number. A dropped send consumes one too, so
+        // the receiving gate sees a gap, never a regression.
+        let seq = self.log.tally.count(self.round, send.bits, send.didx);
+        if self.sh.record_trace {
+            self.sent.push((send.didx, seq));
         }
-        st.directed_message_counts[send.didx] += 1;
-        if st.first_directed_use[send.didx] == u64::MAX {
-            st.first_directed_use[send.didx] = self.round;
-        }
-        *st.sends_per_round.entry(self.round).or_insert(0) += 1;
-
-        let deliver_at = if self.synchronous {
-            self.round + 1
-        } else {
-            let view = SendView {
-                round: self.round,
-                edge_seq,
-                src: send.src,
-                dest: send.dest,
-                didx: send.didx,
-            };
-            match self.schedule.message_fate(&view) {
-                Fate::Dropped => {
-                    // Dropped sends still consume their frame sequence
-                    // number so the receiving gate sees a gap, never a
-                    // regression; the seq is consumed by not stamping.
-                    let seq = st.link_seq[send.didx].stamp(Vec::new()).seq;
-                    debug_assert_eq!(seq, edge_seq);
-                    if self.record_trace {
-                        self.sent_log.push((send.didx, seq));
-                    }
-                    st.messages_dropped += 1;
-                    return;
-                }
-                Fate::Deliver { round: at } => {
-                    assert!(
-                        at > self.round,
-                        "schedule delivered a round-{} send at round {at}",
-                        self.round
-                    );
-                    at
-                }
-            }
+        let Some(deliver_at) = self
+            .sh
+            .fates
+            .fate(&mut self.log.tally, self.round, seq, &send)
+        else {
+            return;
         };
-        // Sender-side crash check: a message into a node at or past its
-        // crash round is dead on arrival — same rule as the ledger.
-        if let Some(c) = self.crash_round.get(send.dest) {
-            if c <= deliver_at {
-                let seq = st.link_seq[send.didx].stamp(Vec::new()).seq;
-                debug_assert_eq!(seq, edge_seq);
-                if self.record_trace {
-                    self.sent_log.push((send.didx, seq));
-                }
-                st.messages_dropped += 1;
-                st.crash_horizon = st.crash_horizon.max(c);
-                return;
-            }
+        for &i in self.sh.watch.get(send.src, send.dest) {
+            let c = &mut self.log.crossings[i];
+            *c = (*c).min((self.round, send.src, emit));
         }
-        if deliver_at > self.round + 1 {
-            *st.late.entry(deliver_at).or_insert(0) += 1;
-        }
-
-        let frame = st.link_seq[send.didx].stamp(vec![
-            self.round,
+        let frame = Frame {
+            seq,
+            send_round: self.round,
             deliver_at,
-            send.src as u64,
+            src: send.src,
             emit,
-        ]);
-        debug_assert_eq!(frame.seq, edge_seq);
-        if self.record_trace {
-            self.sent_log.push((send.didx, frame.seq));
-        }
-        if send.dest >= self.lo && send.dest < self.hi {
+        };
+        if (self.lo..self.hi).contains(&send.dest) {
             // The destination shares this worker: queue it directly —
             // through the same gate the channel path uses.
             deliver_frame(
                 &mut self.rt[send.dest - self.lo],
                 send.dest_port,
-                &frame,
+                frame,
                 send.msg,
             );
         } else {
-            {
-                let mut c = lock(self.coord);
-                c.in_flight += 1;
-            }
-            self.senders[send.dest / self.chunk]
+            lock(&self.sh.coord).in_flight += 1;
+            self.senders[send.dest / self.sh.chunk]
                 .send(Packet::Payload {
                     dest: send.dest,
                     port: send.dest_port,
@@ -952,41 +689,55 @@ enum Decision {
 }
 
 /// One pool worker: owns the contiguous node range `lo..hi`.
-struct Worker<'env, T: Topology, P: Protocol> {
+struct Worker<'a, 'env, T: Topology, P: Protocol> {
     w: usize,
     lo: NodeId,
     hi: NodeId,
-    chunk: usize,
-    cap: u64,
-    budget: u64,
-    n_workers: usize,
-    record_trace: bool,
-    synchronous: bool,
-    rc: RunCtx<'env, T>,
-    schedule: &'env dyn Schedule,
-    crash_round: &'env CrashRounds,
-    store: StoreSliceMut<'env, P>,
+    sh: &'a Shared<'env, T>,
+    store: StoreSliceMut<'a, P>,
     rt: Vec<NodeRt<P::Msg>>,
     /// Ever-activated flags for the owned range (indexed by `v - lo`).
-    started: Vec<bool>,
+    started: Bitmap,
     /// Reusable inbox buffer for the node currently stepping.
     inbox: Vec<(Port, P::Msg)>,
-    stats: &'env mut WorkerStats,
+    log: &'a mut WorkerLog,
     senders: Vec<Sender<Packet<P::Msg>>>,
-    coord: &'env Mutex<Coord>,
     scratch: StepScratch<P::Msg>,
 }
 
-impl<T: Topology, P: Protocol> Worker<'_, T, P> {
+impl<'a, 'env, T: Topology, P: Protocol> Worker<'a, 'env, T, P> {
+    fn new(
+        sh: &'a Shared<'env, T>,
+        w: usize,
+        lo: NodeId,
+        store: StoreSliceMut<'a, P>,
+        log: &'a mut WorkerLog,
+        senders: Vec<Sender<Packet<P::Msg>>>,
+    ) -> Self {
+        let hi = lo + store.protos.len();
+        Worker {
+            w,
+            lo,
+            hi,
+            sh,
+            store,
+            rt: (lo..hi)
+                .map(|v| NodeRt::new(sh.rc.topo.degree(v)))
+                .collect(),
+            started: Bitmap::new(hi - lo),
+            inbox: Vec::new(),
+            log,
+            senders,
+            scratch: StepScratch::default(),
+        }
+    }
+
     fn run(mut self, rx: Receiver<Packet<P::Msg>>) {
         // A protocol panic must not strand the peers in `recv` forever:
         // broadcast Stop, then let the panic propagate through the scope.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.drive(&rx)));
         if let Err(payload) = result {
-            {
-                let mut c = lock(self.coord);
-                c.in_flight += self.n_workers as u64;
-            }
+            lock(&self.sh.coord).in_flight += self.sh.n_workers as u64;
             for s in &self.senders {
                 let _ = s.send(Packet::Stop);
             }
@@ -1017,7 +768,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                 let mut pass = false;
                 for i in 0..(self.hi - self.lo) {
                     while let Some(e) = self.executable(i) {
-                        self.execute(i, e);
+                        self.execute(self.lo + i, e);
                         pass = true;
                     }
                 }
@@ -1041,7 +792,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     /// round cap.
     fn executable(&mut self, i: usize) -> Option<u64> {
         let e = next_event_round(self.store.wake[i], &mut self.rt[i]);
-        if e == u64::MAX || e >= self.cap {
+        if e == u64::MAX || e >= self.sh.cap {
             return None;
         }
         if self.rt[i].in_clock.iter().all(|&c| c >= e) {
@@ -1051,18 +802,23 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         }
     }
 
-    /// Executes node `lo + i` at round `e`.
-    fn execute(&mut self, i: usize, e: u64) {
-        let v = self.lo + i;
+    /// The latest round this worker executed.
+    fn last_exec(&self) -> Option<u64> {
+        self.log.round_sends.keys().next_back().copied()
+    }
+
+    /// Executes node `v` (owned by this worker) at round `e`.
+    fn execute(&mut self, v: NodeId, e: u64) {
+        let i = v - self.lo;
         debug_assert!(
-            !self.crash_round.get(v).is_some_and(|c| c <= e),
+            !self.sh.fates.crash_round.get(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
         let mut due = self.rt[i].pending.take_at(e);
         // The engine's inbox order — the global send order: ascending send
         // round, then sender, then the sender's emission order.
         due.sort_by_key(|a| (a.0, a.1, a.2));
-        let delivered: Vec<(Port, NodeId, u64)> = if self.record_trace {
+        let delivered: Vec<(Port, NodeId, u64)> = if self.sh.record_trace {
             due.iter()
                 .map(|&(_, src, emit, port, _)| (port, src, emit))
                 .collect()
@@ -1073,70 +829,63 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         self.inbox
             .extend(due.drain(..).map(|(_, _, _, port, msg)| (port, msg)));
         self.rt[i].pending.recycle(due);
-        let first = !self.started[i];
         let mut sink = ChannelSink {
             round: e,
             lo: self.lo,
             hi: self.hi,
-            chunk: self.chunk,
-            budget: self.budget,
-            synchronous: self.synchronous,
-            schedule: self.schedule,
-            crash_round: self.crash_round,
+            sh: self.sh,
             rt: &mut self.rt,
-            stats: self.stats,
+            log: &mut *self.log,
             senders: &self.senders,
-            coord: self.coord,
             emit: 0,
-            sent_log: Vec::new(),
-            record_trace: self.record_trace,
+            sent: Vec::new(),
         };
         let effects = step_node(
-            &self.rc,
+            &self.sh.rc,
             e,
             v,
             &mut self.store,
             i,
-            first,
+            !self.started.contains(i),
             &self.inbox,
             &mut self.scratch,
             &mut sink,
         );
-        self.started[i] = true;
-        let sent = std::mem::take(&mut sink.sent_log);
-        // A re-armed timer at or past the node's crash round is resolved
-        // eagerly, exactly as the engine's merge does.
+        let (emitted, sent) = (sink.emit, sink.sent);
+        self.started.insert(i);
         if let Some(w) = effects.rearmed {
-            if let Some(c) = self.crash_round.get(v) {
-                if c <= w {
-                    self.store.wake[i] = NO_WAKE;
-                    self.stats.crash_horizon = self.stats.crash_horizon.max(c);
-                }
-            }
+            self.sh
+                .fates
+                .arm(&mut self.log.tally, v, w, &mut self.store.wake[i]);
         }
-        self.stats.note_exec(
-            e,
-            v,
-            delivered,
-            sent,
-            effects.status_changed,
-            self.record_trace,
-        );
+        if effects.status_changed {
+            self.log.tally.note_status_change(e);
+        }
+        *self.log.round_sends.entry(e).or_insert(0) += emitted;
+        if self.sh.record_trace {
+            self.log.events.push(TraceEvent {
+                round: e,
+                node: v,
+                delivered,
+                sent,
+            });
+        }
     }
 
     /// Reports this worker idle and blocks on the channel; the last
     /// worker to block (with nothing in flight) arbitrates. Returns true
     /// when the run is over.
     fn block(&mut self, rx: &Receiver<Packet<P::Msg>>) -> bool {
+        let sh = self.sh;
         let decision = {
-            let mut c = lock(self.coord);
+            let mut c = lock(&sh.coord);
             c.blocked += 1;
             c.next_event[self.w] = (0..(self.hi - self.lo))
                 .map(|i| next_event_round(self.store.wake[i], &mut self.rt[i]))
                 .min()
                 .unwrap_or(u64::MAX);
-            c.last_exec[self.w] = self.stats.last_exec;
-            if c.blocked == self.n_workers && c.in_flight == 0 {
+            c.last_exec[self.w] = self.last_exec();
+            if c.blocked == sh.n_workers && c.in_flight == 0 {
                 let r_star = c.next_event.iter().copied().min().unwrap_or(u64::MAX);
                 let rounds_done = c
                     .last_exec
@@ -1144,34 +893,12 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                     .filter_map(|&r| r)
                     .max()
                     .map_or(0, |r| r + 1);
-                let decision = if r_star == u64::MAX {
-                    // Quiescent — unless the run *ended at* the cap, which
-                    // the engine reports as a truncation.
-                    if rounds_done >= self.cap {
-                        c.termination = Some(Termination::RoundLimit);
-                        c.end_round = self.cap;
-                        Decision::Stop
-                    } else {
-                        c.termination = Some(Termination::Quiescent);
-                        c.end_round = rounds_done;
-                        Decision::Stop
-                    }
-                } else if r_star >= self.cap {
-                    c.termination = Some(Termination::RoundLimit);
-                    // The engine breaks as soon as its round counter
-                    // reaches the cap: right after an active round at
-                    // `cap - 1`, or after fast-forwarding to `r*`.
-                    c.end_round = if rounds_done >= self.cap {
-                        self.cap
-                    } else {
-                        r_star
-                    };
-                    Decision::Stop
-                } else {
-                    Decision::Advance(r_star)
-                };
-                c.in_flight += self.n_workers as u64;
-                Some(decision)
+                c.verdict = verdict(r_star, rounds_done, sh.cap);
+                c.in_flight += sh.n_workers as u64;
+                Some(match c.verdict {
+                    Some(_) => Decision::Stop,
+                    None => Decision::Advance(r_star),
+                })
             } else {
                 None
             }
@@ -1187,10 +914,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         }
         match rx.recv() {
             Ok(pkt) => {
-                {
-                    let mut c = lock(self.coord);
-                    c.blocked -= 1;
-                }
+                lock(&sh.coord).blocked -= 1;
                 self.handle(pkt)
             }
             Err(_) => true,
@@ -1206,9 +930,8 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                 frame,
                 msg,
             } => {
-                deliver_frame(&mut self.rt[dest - self.lo], port, &frame, msg);
-                let mut c = lock(self.coord);
-                c.in_flight -= 1;
+                deliver_frame(&mut self.rt[dest - self.lo], port, frame, msg);
+                lock(&self.sh.coord).in_flight -= 1;
                 false
             }
             Packet::Advance { upto } => {
@@ -1217,8 +940,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                         *clock = (*clock).max(upto);
                     }
                 }
-                let mut c = lock(self.coord);
-                c.in_flight -= 1;
+                lock(&self.sh.coord).in_flight -= 1;
                 false
             }
             Packet::Stop => true,
@@ -1226,109 +948,10 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     }
 }
 
-/// Merges per-worker accounting into the [`RunOutcome`] (plus the raw,
-/// unsorted trace events). The crash finishing — horizon-extended end
-/// round, crashed roster, all-crashed downgrade — replicates
-/// `Ledger::finish` exactly. Watch hits are reconstructed by the caller
-/// (they need the sorted trace).
-fn assemble(
-    stats: Vec<WorkerStats>,
-    statuses: &[Status],
-    termination: Termination,
-    end_round: u64,
-    crash_round: &CrashRounds,
-    setup_horizon: u64,
-) -> (RunOutcome, Vec<TraceEvent>) {
-    let dcount = stats.first().map_or(0, |s| s.first_directed_use.len());
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-    let mut congest_violations = 0u64;
-    let mut max_message_bits = 0u64;
-    let mut first_directed_use = vec![u64::MAX; dcount];
-    let mut directed_message_counts = vec![0u64; dcount];
-    let mut sends_per_round: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut executed: BTreeSet<u64> = BTreeSet::new();
-    let mut messages_dropped = 0u64;
-    let mut late: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut crash_horizon = setup_horizon;
-    let mut last_status_change: Option<u64> = None;
-    let mut last_exec: Option<u64> = None;
-    let mut events: Vec<TraceEvent> = Vec::new();
-    for st in stats {
-        messages += st.messages;
-        bits += st.bits;
-        congest_violations += st.congest_violations;
-        max_message_bits = max_message_bits.max(st.max_message_bits);
-        for (acc, v) in first_directed_use.iter_mut().zip(st.first_directed_use) {
-            *acc = (*acc).min(v);
-        }
-        for (acc, v) in directed_message_counts
-            .iter_mut()
-            .zip(st.directed_message_counts)
-        {
-            *acc += v;
-        }
-        for (r, c) in st.sends_per_round {
-            *sends_per_round.entry(r).or_insert(0) += c;
-        }
-        executed.extend(st.executed);
-        messages_dropped += st.messages_dropped;
-        for (r, c) in st.late {
-            *late.entry(r).or_insert(0) += c;
-        }
-        crash_horizon = crash_horizon.max(st.crash_horizon);
-        last_status_change = match (last_status_change, st.last_status_change) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        last_exec = match (last_exec, st.last_exec) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        events.extend(st.events);
-    }
-    let mut round_totals: Vec<(u64, u64)> = Vec::with_capacity(executed.len());
-    let mut cumulative = 0u64;
-    for r in executed {
-        cumulative += sends_per_round.get(&r).copied().unwrap_or(0);
-        round_totals.push((r, cumulative));
-    }
-    // `Ledger::finish`: every crash at or before the furthest round the
-    // run observed — including crashes only witnessed through suppressed
-    // wakeups or dead-on-arrival sends — is reported as crashed.
-    let end = end_round.max(crash_horizon);
-    let n = statuses.len();
-    let crashed: Vec<NodeId> = (0..n)
-        .filter(|&v| crash_round.get(v).is_some_and(|c| c <= end))
-        .collect();
-    let termination = if termination == Termination::Quiescent && n > 0 && crashed.len() == n {
-        Termination::AllCrashed
-    } else {
-        termination
-    };
-    let outcome = RunOutcome {
-        rounds: last_exec.map_or(0, |r| r + 1),
-        messages,
-        bits,
-        statuses: statuses.to_vec(),
-        termination,
-        congest_violations,
-        max_message_bits,
-        watch_hits: Vec::new(),
-        first_directed_use,
-        directed_message_counts,
-        last_status_change,
-        round_totals,
-        crashed,
-        messages_dropped,
-        late_deliveries: late.into_iter().collect(),
-    };
-    (outcome, events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Adversary;
     use crate::config::Wakeup;
     use crate::engine::run_sim as run;
     use crate::message::{id_bits, Message, Signal};
@@ -1468,9 +1091,7 @@ mod tests {
             let c = cfg(9, 5).with_adversary(adv.clone());
             let reference = run(&g, &c, mk(12));
             for workers in [1, 2, 4] {
-                let a = AsyncRuntime::new()
-                    .with_workers(workers)
-                    .run(&g, &c, mk(12));
+                let a = AsyncRuntime::new().with_workers(workers).run(&g, &c, mk(12));
                 assert_eq!(a.outcome, reference, "{adv:?}, workers = {workers}");
             }
         }
@@ -1492,7 +1113,8 @@ mod tests {
     }
 
     /// Watch hits — a global-interleaving quantity — are reconstructed
-    /// from the trace and must equal the ledger's, adversary or not.
+    /// from the trace and must equal the ledger's, adversary or not, for
+    /// entries given high endpoint first and for duplicate entries too.
     #[test]
     fn watch_hits_are_reconstructed_exactly() {
         let g = gen::torus(3, 3).unwrap();
@@ -1506,7 +1128,9 @@ mod tests {
                 },
             ]),
         ] {
-            let c = cfg(9, 7).with_adversary(adv.clone()).watching(&[(0, 1), (4, 5)]);
+            let c = cfg(9, 7)
+                .with_adversary(adv.clone())
+                .watching(&[(0, 1), (4, 5), (5, 4), (0, 1)]);
             let reference = run(&g, &c, mk(12));
             assert!(reference.watch_hits.iter().any(|h| h.is_some()));
             for workers in [1, 2] {

@@ -1,161 +1,26 @@
-//! Chunked transport: sending payloads larger than one CONGEST message.
+//! The wire format of the async threads+channels runtime ([`crate::rt`]).
 //!
-//! Algorithm 1 (the clustering algorithm, Theorem 4.7) convergecasts
-//! *graphs* of `O(log² n)` bits over links that carry `O(log n)` bits per
-//! round; the paper notes "this might take multiple rounds". This module
-//! provides the mechanism: [`split_payload`] turns a word sequence into
-//! CONGEST-sized [`Frame`]s, and [`Assembler`] reassembles frames arriving
-//! on a port back into the original payload. Protocols embed [`Frame`] in
-//! their message enum and drain one frame per port per round.
-//!
-//! [`Frame`] is also the wire format of the async threads+channels runtime
-//! ([`crate::rt`]): every delivery crosses its `mpsc` channel wrapped in a
-//! frame whose `u64` sequence number ([`LinkSeq`]) is checked on arrival
-//! ([`LinkGate`]), making the per-edge FIFO guarantee of the execution
-//! model an enforced invariant rather than an assumption.
+//! Every delivery crosses its `mpsc` channel wrapped in a [`Frame`] whose
+//! `u64` sequence number is checked on arrival ([`LinkGate`]), making the
+//! per-edge FIFO guarantee of the execution model an enforced invariant
+//! rather than an assumption.
 
-use crate::message::{uint_bits, Message, TAG_BITS};
-use ule_graph::Port;
+use ule_graph::NodeId;
 
-/// One chunk of a multi-round payload transfer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The typed header of one message on a directed link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
-    /// Position of this frame in its payload (0-based). `u64`, matching
-    /// the index space of payload slices: the historical `u32` field was
-    /// filled with `i as u32`, which silently truncated the sequence
-    /// number beyond 2³² frames and made the [`Assembler`]'s in-order
-    /// check accept wrapped frames as fresh transfers.
+    /// Position of this send on its directed link (0-based): the count of
+    /// earlier sends on the same link, dropped ones included.
     pub seq: u64,
-    /// Whether this is the final frame of the payload.
-    pub last: bool,
-    /// The words carried by this frame.
-    pub words: Vec<u64>,
-}
-
-impl Message for Frame {
-    fn size_bits(&self) -> u64 {
-        TAG_BITS + uint_bits(self.seq) + 1 + self.words.iter().map(|&w| uint_bits(w)).sum::<u64>()
-    }
-}
-
-/// Splits `payload` into frames of at most `words_per_frame` words.
-///
-/// An empty payload yields a single empty final frame, so that receivers
-/// always observe a complete transfer.
-///
-/// # Panics
-///
-/// Panics if `words_per_frame == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use ule_sim::transport::{split_payload, Assembler};
-///
-/// let frames = split_payload(&[10, 20, 30, 40, 50], 2);
-/// assert_eq!(frames.len(), 3);
-/// let mut asm = Assembler::new(1);
-/// let mut result = None;
-/// for f in frames {
-///     if let Some(p) = asm.accept(0, f) { result = Some(p); }
-/// }
-/// assert_eq!(result.unwrap(), vec![10, 20, 30, 40, 50]);
-/// ```
-pub fn split_payload(payload: &[u64], words_per_frame: usize) -> Vec<Frame> {
-    assert!(words_per_frame > 0, "frames must carry at least one word");
-    if payload.is_empty() {
-        return vec![Frame {
-            seq: 0,
-            last: true,
-            words: Vec::new(),
-        }];
-    }
-    let total = payload.len().div_ceil(words_per_frame);
-    payload
-        .chunks(words_per_frame)
-        .enumerate()
-        .map(|(i, chunk)| Frame {
-            seq: i as u64,
-            last: i + 1 == total,
-            words: chunk.to_vec(),
-        })
-        .collect()
-}
-
-/// Per-port reassembly of framed payloads.
-///
-/// Frames on one port must arrive in order (the synchronous model
-/// guarantees this when the sender emits one frame per round); interleaving
-/// across ports is fine.
-#[derive(Debug)]
-pub struct Assembler {
-    partial: Vec<Vec<u64>>,
-    expect: Vec<u64>,
-}
-
-impl Assembler {
-    /// An assembler for a node with `degree` ports.
-    pub fn new(degree: usize) -> Self {
-        Assembler {
-            partial: vec![Vec::new(); degree],
-            expect: vec![0; degree],
-        }
-    }
-
-    /// Accepts one frame from `port`; returns the complete payload when the
-    /// final frame arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order frames (a protocol bug under the synchronous
-    /// model) or an out-of-range port.
-    pub fn accept(&mut self, port: Port, frame: Frame) -> Option<Vec<u64>> {
-        assert!(
-            frame.seq == self.expect[port],
-            "out-of-order frame on port {port}: got {}, expected {}",
-            frame.seq,
-            self.expect[port]
-        );
-        self.expect[port] += 1;
-        self.partial[port].extend_from_slice(&frame.words);
-        if frame.last {
-            self.expect[port] = 0;
-            Some(std::mem::take(&mut self.partial[port]))
-        } else {
-            None
-        }
-    }
-}
-
-/// Sender side of a FIFO link discipline: stamps each outgoing [`Frame`]
-/// on one directed link with the next `u64` sequence number.
-///
-/// This is how the async threads+channels runtime ([`crate::rt`]) ships
-/// deliveries: every protocol message crosses its channel wrapped in a
-/// frame whose `words` carry the delivery metadata and whose `seq` proves
-/// per-edge FIFO order to the receiving [`LinkGate`]. One stamper per
-/// directed edge.
-#[derive(Debug, Default)]
-pub struct LinkSeq {
-    next: u64,
-}
-
-impl LinkSeq {
-    /// A stamper starting at sequence number 0.
-    pub fn new() -> Self {
-        LinkSeq::default()
-    }
-
-    /// Wraps `words` in the next in-order frame for this link.
-    pub fn stamp(&mut self, words: Vec<u64>) -> Frame {
-        let seq = self.next;
-        self.next += 1;
-        Frame {
-            seq,
-            last: true,
-            words,
-        }
-    }
+    /// Round in which the message was sent.
+    pub send_round: u64,
+    /// Round in which the message is delivered.
+    pub deliver_at: u64,
+    /// The sending node.
+    pub src: NodeId,
+    /// Emission index of the message within the sender's activation.
+    pub emit: u64,
 }
 
 /// Receiver side of the FIFO link discipline: verifies that the frames
@@ -179,14 +44,14 @@ impl LinkGate {
         }
     }
 
-    /// Accepts one frame from `port` and returns its payload words.
+    /// Accepts one frame from `port`.
     ///
     /// # Panics
     ///
     /// Panics on a sequence regression (a transport bug: a frame arriving
     /// after a higher-numbered frame on the same port) or an out-of-range
     /// port.
-    pub fn accept<'f>(&mut self, port: Port, frame: &'f Frame) -> &'f [u64] {
+    pub fn accept(&mut self, port: usize, frame: &Frame) {
         assert!(
             frame.seq >= self.expect[port],
             "out-of-order frame on port {port}: got {}, expected at least {}",
@@ -194,7 +59,6 @@ impl LinkGate {
             self.expect[port]
         );
         self.expect[port] = frame.seq + 1;
-        &frame.words
     }
 }
 
@@ -202,169 +66,60 @@ impl LinkGate {
 mod tests {
     use super::*;
 
-    #[test]
-    fn split_sizes() {
-        let frames = split_payload(&[1, 2, 3, 4, 5, 6, 7], 3);
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].words, vec![1, 2, 3]);
-        assert!(!frames[0].last);
-        assert_eq!(frames[2].words, vec![7]);
-        assert!(frames[2].last);
-    }
-
-    #[test]
-    fn empty_payload_single_frame() {
-        let frames = split_payload(&[], 4);
-        assert_eq!(frames.len(), 1);
-        assert!(frames[0].last);
-        let mut asm = Assembler::new(1);
-        assert_eq!(asm.accept(0, frames[0].clone()), Some(vec![]));
-    }
-
-    #[test]
-    fn interleaved_ports_reassemble() {
-        let a = split_payload(&[1, 2, 3], 1);
-        let b = split_payload(&[9, 8], 1);
-        let mut asm = Assembler::new(2);
-        assert_eq!(asm.accept(0, a[0].clone()), None);
-        assert_eq!(asm.accept(1, b[0].clone()), None);
-        assert_eq!(asm.accept(0, a[1].clone()), None);
-        assert_eq!(asm.accept(1, b[1].clone()), Some(vec![9, 8]));
-        assert_eq!(asm.accept(0, a[2].clone()), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn assembler_reuses_port_after_completion() {
-        let mut asm = Assembler::new(1);
-        for _ in 0..3 {
-            let frames = split_payload(&[5, 6], 1);
-            let mut out = None;
-            for f in frames {
-                out = asm.accept(0, f).or(out);
-            }
-            assert_eq!(out, Some(vec![5, 6]));
+    fn frame(seq: u64) -> Frame {
+        Frame {
+            seq,
+            send_round: 0,
+            deliver_at: 1,
+            src: 0,
+            emit: 0,
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn out_of_order_panics() {
-        let frames = split_payload(&[1, 2, 3], 1);
-        let mut asm = Assembler::new(1);
-        asm.accept(0, frames[1].clone());
     }
 
     #[test]
     fn link_seq_and_gate_enforce_fifo() {
-        let mut seq = LinkSeq::new();
         let mut gate = LinkGate::new(2);
         for i in 0..5u64 {
-            let f = seq.stamp(vec![i, 100 + i]);
-            assert_eq!(f.seq, i);
-            assert!(f.last);
-            assert_eq!(gate.accept(1, &f), &[i, 100 + i]);
+            gate.accept(1, &frame(i));
         }
         // The other port has its own, independent expectation.
-        let f0 = LinkSeq::new().stamp(vec![7]);
-        assert_eq!(gate.accept(0, &f0), &[7]);
+        gate.accept(0, &frame(0));
     }
 
     #[test]
     fn link_gate_tolerates_gaps_from_dropped_frames() {
         // An adversary that drops sends still consumes sequence numbers at
         // the sender, so the receiver legitimately sees gaps.
-        let mut seq = LinkSeq::new();
-        seq.stamp(vec![]); // dropped in flight
-        seq.stamp(vec![]); // dropped in flight
-        seq.stamp(vec![]); // dropped in flight
-        let f = seq.stamp(vec![1]);
         let mut gate = LinkGate::new(1);
-        assert_eq!(gate.accept(0, &f), &[1]);
-        let g = seq.stamp(vec![2]);
-        assert_eq!(gate.accept(0, &g), &[2]);
+        gate.accept(0, &frame(3));
+        gate.accept(0, &frame(4));
     }
 
     #[test]
     #[should_panic(expected = "out-of-order frame on port 0: got 0, expected at least 4")]
     fn link_gate_rejects_sequence_regressions() {
-        let mut seq = LinkSeq::new();
-        seq.stamp(vec![]);
-        seq.stamp(vec![]);
-        seq.stamp(vec![]);
-        let late = seq.stamp(vec![1]);
         let mut gate = LinkGate::new(1);
-        gate.accept(0, &late);
-        let stale = Frame {
-            seq: 0,
-            last: true,
-            words: vec![9],
-        };
-        gate.accept(0, &stale);
-    }
-
-    #[test]
-    #[allow(clippy::int_plus_one)] // the sum spells out header + payload + flag bits
-    fn frame_sizes_accounted() {
-        let f = Frame {
-            seq: 3,
-            last: false,
-            words: vec![0xFF, 1],
-        };
-        assert!(f.size_bits() >= 4 + 2 + 1 + 8 + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one word")]
-    fn zero_chunk_panics() {
-        split_payload(&[1], 0);
+        gate.accept(0, &frame(3));
+        gate.accept(0, &frame(0));
     }
 
     #[test]
     fn sequence_numbers_do_not_truncate_at_the_u32_boundary() {
-        // The historical `i as u32` cast wrapped the 2³²-th frame back to
-        // sequence 0. The field is now the full payload index space: a
-        // frame just past the old boundary keeps a distinct, ordered
-        // sequence number and honest size accounting.
-        let beyond = Frame {
-            seq: u64::from(u32::MAX) + 1,
-            last: false,
-            words: vec![1],
-        };
-        assert_eq!(beyond.seq, 1 << 32);
-        assert!(
-            beyond.size_bits() > TAG_BITS + 32,
-            "a 33-bit sequence number must be accounted as such"
-        );
-        // An assembler mid-transfer at the boundary accepts the next
-        // frame instead of mistaking a wrapped seq-0 for a new payload.
-        let mut asm = Assembler {
-            partial: vec![Vec::new()],
-            expect: vec![u64::from(u32::MAX) + 1],
-        };
-        assert_eq!(
-            asm.accept(0, beyond),
-            None,
-            "in-order frame past the u32 boundary is part of the transfer"
-        );
-        assert_eq!(asm.expect[0], (1 << 32) + 1);
+        // Sequence numbers are the full u64 per-link send count: a link
+        // past 2^32 sends keeps distinct, ordered numbers.
+        let mut gate = LinkGate::new(1);
+        gate.accept(0, &frame(u64::from(u32::MAX)));
+        gate.accept(0, &frame(1 << 32));
+        assert_eq!(gate.expect[0], (1 << 32) + 1);
     }
 
     #[test]
     #[should_panic(expected = "out-of-order")]
     fn wrapped_seq_zero_at_the_boundary_is_rejected() {
-        // Under the old truncation this frame would have carried seq 0 ==
-        // expect 0 and been accepted silently; now it must panic loudly.
-        let mut asm = Assembler {
-            partial: vec![vec![7]],
-            expect: vec![u64::from(u32::MAX) + 1],
-        };
-        asm.accept(
-            0,
-            Frame {
-                seq: 0,
-                last: true,
-                words: vec![2],
-            },
-        );
+        // A sequence number wrapped to 0 past the u32 boundary is a
+        // regression, not a fresh link.
+        let mut gate = LinkGate::new(1);
+        gate.accept(0, &frame(1 << 32));
+        gate.accept(0, &frame(0));
     }
 }

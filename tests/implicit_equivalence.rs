@@ -13,7 +13,7 @@
 use ule_core::Algorithm;
 use ule_graph::gen::Family;
 use ule_graph::{Graph, ImplicitTopology};
-use ule_sim::{Adversary, Parallelism, RunOutcome, SimConfig};
+use ule_sim::{Adversary, Parallelism, RunOutcome, RuntimeKind, SimConfig};
 
 /// The two structured shapes the acceptance contract names: a cycle and a
 /// torus, implicit next to their byte-identical materializations.
@@ -48,7 +48,11 @@ fn run_outcomes_are_identical_implicit_vs_materialized() {
                 // other (representation × parallelism) combination must
                 // reproduce it field for field.
                 let reference = alg.run_with(&g, &cfg);
-                for par in [Parallelism::Off, Parallelism::Threads(2), Parallelism::Threads(4)] {
+                for par in [
+                    Parallelism::Off,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(4),
+                ] {
                     let mut c = cfg.clone();
                     c.parallelism = par;
                     let mat = alg.run_with(&g, &c);
@@ -86,40 +90,57 @@ fn disabling_edge_stats_changes_only_the_per_edge_columns() {
     // The memory diet's `edge_stats: false` (what implicit campaign groups
     // run) must not perturb the simulation itself: every scalar and
     // per-node field of the outcome is unchanged; only the O(m) per-edge
-    // vectors come back empty.
+    // vectors come back empty — on both runtimes, under lockstep and
+    // delays alike.
     let (_, topo, g) = shapes().remove(0);
     for alg in Algorithm::ALL {
-        let cfg = alg.config_for(&g, 5);
-        let mut diet = cfg.clone();
-        diet.edge_stats = false;
-        let full = alg.run_with(&topo, &cfg);
-        let lean = alg.run_with(&topo, &diet);
-        assert!(lean.first_directed_use.is_empty(), "{alg}");
-        assert!(lean.directed_message_counts.is_empty(), "{alg}");
-        let strip = |o: &RunOutcome| {
-            let mut o = o.clone();
-            o.first_directed_use = Vec::new();
-            o.directed_message_counts = Vec::new();
-            o
-        };
-        assert_eq!(strip(&full), lean, "{alg} diverged with edge stats off");
+        for (adv_name, adv) in adversaries() {
+            let cfg = alg.config_for(&g, 5).with_adversary(adv);
+            let mut diet = cfg.clone();
+            diet.edge_stats = false;
+            let full = alg.run_with(&topo, &cfg);
+            let lean = alg.run_with(&topo, &diet);
+            assert!(lean.first_directed_use.is_empty(), "{alg}, {adv_name}");
+            assert!(lean.directed_message_counts.is_empty(), "{alg}, {adv_name}");
+            let strip = |o: &RunOutcome| {
+                let mut o = o.clone();
+                o.first_directed_use = Vec::new();
+                o.directed_message_counts = Vec::new();
+                o
+            };
+            assert_eq!(
+                strip(&full),
+                lean,
+                "{alg} diverged with edge stats off under {adv_name}"
+            );
+            assert_eq!(
+                alg.run_on(RuntimeKind::Async, &topo, &diet),
+                lean,
+                "{alg} on the async runtime diverged with edge stats off under {adv_name}"
+            );
+        }
     }
 }
 
 #[test]
 fn watch_edges_still_work_without_edge_stats() {
     // Watch hits are their own small column, not part of the O(m) ledger;
-    // the diet must leave them alive.
+    // the diet must leave them alive, on both runtimes.
     let topo = Family::Cycle.implicit(16).expect("cycle");
     let g = topo.materialize();
-    let mut cfg = SimConfig::seeded(3)
-        .with_ids(ule_graph::IdAssignment::sequential(16))
-        .with_knowledge(ule_sim::Knowledge::n_and_diameter(16, 8));
-    cfg.watch_edges = vec![(0, 1)];
-    let mut diet = cfg.clone();
-    diet.edge_stats = false;
-    let full = ule_core::baseline::flood_max(&g, &cfg);
-    let lean = ule_core::baseline::flood_max(&topo, &diet);
-    assert_eq!(full.watch_hits, lean.watch_hits);
-    assert!(full.watch_hits[0].is_some());
+    for (adv_name, adv) in adversaries() {
+        let mut cfg = SimConfig::seeded(3)
+            .with_ids(ule_graph::IdAssignment::sequential(16))
+            .with_knowledge(ule_sim::Knowledge::n_and_diameter(16, 8))
+            .with_adversary(adv);
+        cfg.watch_edges = vec![(0, 1)];
+        let mut diet = cfg.clone();
+        diet.edge_stats = false;
+        let full = ule_core::baseline::flood_max(&g, &cfg);
+        let lean = ule_core::baseline::flood_max(&topo, &diet);
+        assert_eq!(full.watch_hits, lean.watch_hits, "{adv_name}");
+        assert!(full.watch_hits[0].is_some(), "{adv_name}");
+        let over_channels = ule_core::baseline::flood_max_on(RuntimeKind::Async, &topo, &diet);
+        assert_eq!(over_channels, lean, "async runtime under {adv_name}");
+    }
 }
